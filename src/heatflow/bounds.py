@@ -280,7 +280,7 @@ def lipschitz_from_profile(profile: LambdaProfile,
         total += simpson_adaptive(lambda t: float(profile(t)), lo, hi, rel_tol)
     tail = profile.closed_tail(t_cut)
     if tail is None:
-        est = float(profile(t_cut)) * 0.5 * np.exp(-2.0 * 0.0)
+        est = float(profile(t_cut)) * 0.5
         if est > 1e-8:
             raise NonIntegrableError(
                 "profile tail beyond t_cut is not negligible and has no closed form"

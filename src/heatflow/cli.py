@@ -34,7 +34,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 QUICK_SCALE = 0.1          # node/sample counts multiplied by this under --quick
-QUICK_TOL_FACTOR = 10.0    # statistical check tolerances relaxed by this factor
 
 
 class ConfigError(Exception):
@@ -125,18 +124,14 @@ def _potential_from(cfg: dict, scheme: QuadratureScheme):
 
 def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowIntegrator:
     fl = cfg.get("flow", {})
+    method = fl.get("method", "rk4")
+    if method != "rk4":
+        raise ConfigError(f"unknown flow method {method!r}; the stepper is 'rk4'")
     n_steps = int(fl.get("n_steps", 600))
     if quick:
         n_steps = max(40, n_steps // 10)
-    stepper = StepperConfig(
-        method=fl.get("method", "rk4"),
-        n_steps=n_steps,
-        abs_tol=float(fl.get("abs_tol", 1e-9)),
-        rel_tol=float(fl.get("rel_tol", 1e-9)),
-        max_steps=int(fl.get("max_steps", 100_000)),
-    )
     return FlowIntegrator(evaluator, t_max=float(fl.get("t_max", 12.0)),
-                          stepper=stepper)
+                          stepper=StepperConfig(n_steps=n_steps))
 
 
 # -- commands --------------------------------------------------------------------
@@ -446,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", default=None, help="JSON job description")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--quick", action="store_true",
-                        help="scale node/sample counts down 10x; statistical "
-                             "tolerances relax 10x")
+                        help="scale node, sample and step counts down 10x")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)

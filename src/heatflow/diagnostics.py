@@ -420,12 +420,6 @@ def tail_test(p: Potential, xs: Sequence[float],
 
 
 @dataclass(frozen=True)
-class CounterexampleSpec:
-    kind: str            # "sharpness" | "vt" | "linear_tail"
-    params: dict
-
-
-@dataclass(frozen=True)
 class BoundComparison:
     name: str
     measured: float

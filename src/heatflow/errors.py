@@ -41,10 +41,6 @@ class HermiteAtTimeZeroError(HeatflowError):
     """The integration-by-parts Hessian route needs strictly positive time."""
 
 
-class StepFailureError(HeatflowError):
-    """Adaptive stepping could not meet tolerances within the step budget."""
-
-
 class DomainError(HeatflowError):
     """A closed-form profile was evaluated outside its validity domain."""
 

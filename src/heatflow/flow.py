@@ -6,10 +6,11 @@ t_max realizes the inverse map T approx S_{t_max}^{-1}, which pushes gamma
 onto e^{-V} dgamma up to a truncation error of e^{-t_max} sup|grad V|
 (the drift obeys |grad V_t| <= e^{-t} sup|grad V|).
 
-The spatial Jacobian solves dJ/dt = D^2 V_t(S_t) J and is integrated in
-one augmented system with the state so the two stay synchronized.
-Backward runs reuse the forward drift routine with a negated step; there
-is no separate reverse-drift code path.
+One classic RK4 loop on a uniform time grid integrates the state (z, J):
+the spatial Jacobian solves dJ/dt = D^2 V_t(S_t) J and rides in the same
+stages as the state so the two stay synchronized, or is absent (None)
+when not requested.  Backward runs reuse the forward drift routine with a
+negated step; there is no separate reverse-drift code path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DensityUnderflowError, StepFailureError
+from .errors import DensityUnderflowError
 from .semigroup import SemigroupEvaluator
 
 DEFAULT_T_MAX = 12.0
@@ -28,18 +29,9 @@ DEFAULT_RK4_STEPS = 600
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Fixed-step classic Runge-Kutta by default; embedded 4(5) pair optional."""
+    """Fixed-step classic Runge-Kutta (RK4) on a uniform time grid."""
 
-    method: str = "rk4"          # "rk4" | "adaptive"
     n_steps: int = DEFAULT_RK4_STEPS
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_steps: int = 100_000
-    initial_step: float = 1e-2
-
-    def __post_init__(self):
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown stepper method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +39,6 @@ class TrajectoryRecord:
     times: np.ndarray                   # (M,)
     states: np.ndarray                  # (M, N, dim)
     jacobians: Optional[np.ndarray]     # (M, N, dim, dim) or None
-    step_errors: np.ndarray             # (M-1,) max scaled error estimate per step
-    rejected_steps: int = 0
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -75,16 +65,6 @@ class PushforwardSamples:
     seed: int
 
 
-def trajectory_table(record: TrajectoryRecord, index: int = 0) -> dict:
-    """CSV-ready columns (index, t, coordinates) for one recorded trajectory."""
-    states = record.states[:, index, :]
-    cols = {"index": np.full(record.times.size, index),
-            "t": record.times}
-    for d in range(states.shape[1]):
-        cols[f"x_{d}"] = states[:, d]
-    return cols
-
-
 def map_table(samples: "PushforwardSamples") -> list[dict]:
     """JSON-ready records (input, output, jacobian_norm, error_bound)."""
     out = []
@@ -97,6 +77,11 @@ def map_table(samples: "PushforwardSamples") -> list[dict]:
             "error_bound": samples.error_bound,
         })
     return out
+
+
+def _axpy(y, a, k):
+    """The state y + a k, componentwise; None components stay None."""
+    return tuple(None if yi is None else yi + a * ki for yi, ki in zip(y, k))
 
 
 @dataclass(frozen=True)
@@ -114,13 +99,14 @@ class FlowIntegrator:
     stepper: StepperConfig = field(default_factory=StepperConfig)
     t_hess_floor: float = 1e-3
 
-    # -- vector fields ---------------------------------------------------
+    # -- the vector field and its one stepper ----------------------------
 
-    def _drift(self, z: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluator.drift(z, max(t, 0.0))
-
-    def _drift_aug(self, z: np.ndarray, J: np.ndarray, t: float):
+    def _field(self, y, t: float):
+        """(dz/dt, dJ/dt or None) at the state y = (z, J or None)."""
+        z, J = y
         t = max(t, 0.0)
+        if J is None:
+            return self.evaluator.drift(z, t), None
         t_h = t if (t == 0.0 or t >= self.t_hess_floor) else self.t_hess_floor
         if t_h == t:
             dz, H = self.evaluator.drift_and_hess_vt(z, t)
@@ -129,106 +115,34 @@ class FlowIntegrator:
             _, H = self.evaluator.drift_and_hess_vt(z, t_h)
         return dz, np.einsum("nde,nef->ndf", H, J)
 
-    # -- integrators -------------------------------------------------------
+    def _rk4(self, z0, grid: np.ndarray, with_jac: bool, record: bool = False):
+        """RK4 for the state (z, J) over the time grid.
 
-    def _integrate_rk4(self, z0, t0, t1, n_steps, record=False, with_jac=False):
+        J starts at the identity when `with_jac`, else stays None.  Returns
+        the final state, or the states at every grid time when `record`.
+        """
         z = np.array(z0, dtype=float)
         n, dim = z.shape
-        J = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy() if with_jac else None
-        # stage times from the grid, not accumulation: the final stage must
-        # land on t1 exactly (t = 0 selects the exact-Hessian route)
-        grid = np.linspace(t0, t1, n_steps + 1)
-        states = [z.copy()] if record else None
-        jacs = [J.copy()] if (record and with_jac) else None
-        for i in range(n_steps):
-            t, t_next = grid[i], grid[i + 1]
+        y = (z, np.broadcast_to(np.eye(dim), (n, dim, dim)).copy() if with_jac else None)
+        path = [y]
+        for t, t_next in zip(grid[:-1], grid[1:]):
             h = t_next - t
             mid = 0.5 * (t + t_next)
-            if with_jac:
-                k1, K1 = self._drift_aug(z, J, t)
-                k2, K2 = self._drift_aug(z + 0.5 * h * k1, J + 0.5 * h * K1, mid)
-                k3, K3 = self._drift_aug(z + 0.5 * h * k2, J + 0.5 * h * K2, mid)
-                k4, K4 = self._drift_aug(z + h * k3, J + h * K3, t_next)
-                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                J = J + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-            else:
-                k1 = self._drift(z, t)
-                k2 = self._drift(z + 0.5 * h * k1, mid)
-                k3 = self._drift(z + 0.5 * h * k2, mid)
-                k4 = self._drift(z + h * k3, t_next)
-                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = self._field(y, t)
+            k2 = self._field(_axpy(y, 0.5 * h, k1), mid)
+            k3 = self._field(_axpy(y, 0.5 * h, k2), mid)
+            k4 = self._field(_axpy(y, h, k3), t_next)
+            slope = tuple(None if a is None else a + 2 * b + 2 * c + d
+                          for a, b, c, d in zip(k1, k2, k3, k4))
+            y = _axpy(y, h / 6.0, slope)
             if record:
-                states.append(z.copy())
-                if with_jac:
-                    jacs.append(J.copy())
-        if record:
-            return TrajectoryRecord(
-                grid, np.asarray(states),
-                np.asarray(jacs) if with_jac else None,
-                np.zeros(n_steps),
-            )
-        return z, J
+                path.append(y)
+        return path if record else y
 
-    # Fehlberg 4(5) tableau
-    _A = (
-        (),
-        (1 / 4,),
-        (3 / 32, 9 / 32),
-        (1932 / 2197, -7200 / 2197, 7296 / 2197),
-        (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-        (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-    )
-    _C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-    _B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-    _B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-
-    def _integrate_adaptive(self, z0, t0, t1, record=False):
-        cfg = self.stepper
-        z = np.array(z0, dtype=float)
-        direction = 1.0 if t1 >= t0 else -1.0
-        t = t0
-        h = direction * min(cfg.initial_step, abs(t1 - t0))
-        times = [t0]
-        states = [z.copy()] if record else None
-        errs = []
-        rejected = 0
-        steps = 0
-        while direction * (t1 - t) > 1e-14:
-            if steps >= cfg.max_steps:
-                raise StepFailureError(
-                    f"adaptive stepper exceeded max_steps={cfg.max_steps} "
-                    f"({rejected} rejections)"
-                )
-            steps += 1
-            if direction * (t + h - t1) > 0:
-                h = t1 - t
-            ks = []
-            for i in range(6):
-                zi = z
-                for a, k in zip(self._A[i], ks):
-                    zi = zi + h * a * k
-                ks.append(self._drift(zi, t + self._C[i] * h))
-            z5 = z + h * sum(b * k for b, k in zip(self._B5, ks))
-            z4 = z + h * sum(b * k for b, k in zip(self._B4, ks))
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z5))
-            err = float(np.max(np.abs(z5 - z4) / scale)) if z5.size else 0.0
-            if err <= 1.0:
-                t += h
-                z = z5
-                errs.append(err)
-                if record:
-                    times.append(t)
-                    states.append(z.copy())
-            else:
-                rejected += 1
-            factor = 0.9 * (1.0 / max(err, 1e-12)) ** 0.2
-            h *= min(5.0, max(0.2, factor))
-        if record:
-            return TrajectoryRecord(
-                np.asarray(times), np.asarray(states), None,
-                np.asarray(errs), rejected,
-            )
-        return z, rejected
+    def _grid(self, t0: float, t1: float) -> np.ndarray:
+        # stage times from the grid, not accumulation: the final stage must
+        # land on t1 exactly (t = 0 selects the exact-Hessian route)
+        return np.linspace(t0, t1, self.stepper.n_steps + 1)
 
     # -- public operations --------------------------------------------------
 
@@ -238,28 +152,22 @@ class FlowIntegrator:
         if t1 < t0 or t0 < 0:
             raise ValueError("need 0 <= t0 <= t1")
         xb = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.stepper.method == "adaptive" and not with_jacobian:
-            return self._integrate_adaptive(xb, t0, t1, record=True)
-        return self._integrate_rk4(xb, t0, t1, self.stepper.n_steps, record=True,
-                                   with_jac=with_jacobian)
+        grid = self._grid(t0, t1)
+        path = self._rk4(xb, grid, with_jacobian, record=True)
+        jacs = np.asarray([J for _, J in path]) if with_jacobian else None
+        return TrajectoryRecord(grid, np.asarray([z for z, _ in path]), jacs)
 
     def transport_batch(self, y: np.ndarray, with_jacobian: bool = False):
         """Backward integration from t_max to 0 for a batch of points.
 
         Returns (points, jacobians or None, failed_mask).  Samples whose
-        density underflows are frozen at their last good state and flagged
-        rather than dropped, so indices stay aligned.
+        density underflows are returned at their input, with an identity
+        Jacobian, and flagged rather than dropped, so indices stay aligned.
         """
         yb = np.atleast_2d(np.asarray(y, dtype=float))
+        grid = self._grid(self.t_max, 0.0)
         try:
-            if self.stepper.method == "adaptive" and not with_jacobian:
-                z, _ = self._integrate_adaptive(yb, self.t_max, 0.0)
-                J = None
-            else:
-                z, J = self._integrate_rk4(
-                    yb, self.t_max, 0.0, self.stepper.n_steps,
-                    with_jac=with_jacobian,
-                )
+            z, J = self._rk4(yb, grid, with_jacobian)
             failed = ~np.all(np.isfinite(z), axis=1)
         except DensityUnderflowError:
             # retry samplewise to isolate the failing points
@@ -268,10 +176,7 @@ class FlowIntegrator:
             failed = np.zeros(yb.shape[0], dtype=bool)
             for i in range(yb.shape[0]):
                 try:
-                    zi, Ji = self._integrate_rk4(
-                        yb[i:i + 1], self.t_max, 0.0, self.stepper.n_steps,
-                        with_jac=with_jacobian,
-                    )
+                    zi, Ji = self._rk4(yb[i:i + 1], grid, with_jacobian)
                     z[i] = zi[0]
                     if with_jacobian:
                         J[i] = Ji[0]

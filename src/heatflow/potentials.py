@@ -260,12 +260,6 @@ def normalize(p: Potential, scheme: QuadratureScheme | None = None) -> Potential
 # -- built-in families -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinFamily:
-    tag: str
-    params: dict
-
-
 def gaussian(rho: float, dim: int = 1) -> Potential:
     """V(x) = rho |x|^2 / 2: target measure N(0, 1/(1+rho) Id); needs rho > -1."""
     if rho <= -1.0:

@@ -173,9 +173,3 @@ def gaussian_expectation_mc(fn, scheme: QuadratureScheme) -> float:
     """E[fn(Z)] by the scheme's deterministic antithetic Monte Carlo stream."""
     nodes, w = scheme.nodes_weights()
     return float(w @ fn(nodes))
-
-
-def mc_substream(seed: int, worker: int, count: int, dim: int) -> np.ndarray:
-    """Deterministic per-worker Gaussian substream, keyed by (seed, worker)."""
-    rng = np.random.default_rng((int(seed), int(worker)))
-    return rng.standard_normal((count, dim))

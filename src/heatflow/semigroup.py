@@ -1,10 +1,12 @@
 """Smoothing semigroup P_t f(x) = E f(e^{-t} x + sqrt(1-e^{-2t}) Z) for f = e^{-V}.
 
-One evaluator owns a potential and a quadrature scheme; every quantity at
-a given (x, t) shares the same nodes so that ratios such as the drift
-grad(-log f_t) benefit from correlated error cancellation.  Weighted sums
-over the density are max-shifted in log space, so potentials unbounded
-below (quadratic tails of the wrong sign) do not overflow.
+One evaluator owns a potential and a quadrature scheme.  log f_t, grad V_t
+and D^2 V_t are weighted sums over the same Gauss-Hermite nodes, so one
+private pass computes them all; the public methods are views that apply
+their final scaling, and ratios such as the drift grad(-log f_t) benefit
+from correlated error cancellation.  Weighted sums over the density are
+max-shifted in log space, so potentials unbounded below (quadratic tails
+of the wrong sign) do not overflow.
 
 Batched evaluation: x may be a single point of shape (dim,) or a batch
 (N, dim); outputs follow suit.
@@ -71,44 +73,76 @@ class SemigroupEvaluator:
         with np.errstate(divide="ignore"):
             logw = np.log(w)
         object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_logw", logw)
 
-    # -- core shifted-exponential pass ----------------------------------
+    # -- the shared-node pass ---------------------------------------------
 
-    def _pts(self, xb: np.ndarray, t: float) -> tuple[np.ndarray, float, float]:
-        e = float(np.exp(-t))
-        s = float(np.sqrt(-np.expm1(-2.0 * t)))
-        pts = e * xb[:, None, :] + s * self._nodes[None, :, :]
-        return pts, e, s
+    def _relative_density(self, pts: np.ndarray,
+                          logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, m): u = w * f(pts) / e^m rowwise, m the rowwise log maximum.
 
-    def _relative_density(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, m): u = w * f(pts) / e^m rowwise, m the rowwise log maximum."""
-        a = self._logw[None, :] - self.potential.value(pts)
+        A helper of its own so the (N, K) log-weight temporary is freed
+        before the pass allocates the potential's gradient at the nodes.
+        """
+        a = logw[None, :] - self.potential.value(pts)
         m = np.max(a, axis=1)
         u = np.exp(a - m[:, None])
         return u, m
 
-    def _check_floor(self, logf: np.ndarray):
-        if np.any(logf <= np.log(self.floor)):
+    def _moments(self, xb: np.ndarray, t: float, grad: bool = False,
+                 hess_route: str | None = None):
+        """One pass over the nodes e^{-t} x + s Z: (e, m, den, G, H).
+
+        With u = w f(pts) / e^m (max-shifted weights) and e = e^{-t}:
+        den = sum u, so f_t = e^m den; G = sum u grad V (if `grad`); H is
+        sum u (Z Z^T - Id) on the hermite route or sum u (grad V grad V^T -
+        D^2 V) on the commute route (None without a route).  At t = 0 the
+        point x is its own single node with unit weight, so every sum is V
+        and its derivatives evaluated exactly at x.  Raises
+        DensityUnderflowError when f_t is at or below the floor.
+        """
+        if hess_route not in (None, "commute", "hermite"):
+            raise ValueError(f"unknown hessian route {hess_route!r}")
+        if hess_route == "hermite" and t <= 0.0:
+            raise HermiteAtTimeZeroError("hermite route requires t > 0")
+        if t < 0:
+            raise ValueError("time must be nonnegative")
+        if t == 0.0:
+            e, pts, logw = 1.0, xb[:, None, :], np.zeros(1)
+        else:
+            e = float(np.exp(-t))
+            s = float(np.sqrt(-np.expm1(-2.0 * t)))
+            pts = e * xb[:, None, :] + s * self._nodes[None, :, :]
+            logw = self._logw
+        u, m = self._relative_density(pts, logw)
+        den = np.sum(u, axis=1)
+        if np.any(m + np.log(den) <= np.log(self.floor)):
             raise DensityUnderflowError(
                 "smoothed density at or below floor; quadrature range too "
                 "small for the queried tail"
             )
+        G = H = None
+        if grad or hess_route == "commute":
+            gv = self.potential.grad(pts)
+            if grad:
+                G = np.einsum("nk,nkd->nd", u, gv)
+        if hess_route == "hermite":
+            dim = self.potential.dim
+            outer = (self._nodes[:, :, None] * self._nodes[:, None, :]
+                     - np.eye(dim)[None, :, :])
+            H = np.einsum("nk,kde->nde", u, outer)
+        elif hess_route == "commute":
+            hv = self.potential.hess(pts)
+            d2f = gv[..., :, None] * gv[..., None, :] - hv
+            H = np.einsum("nk,nkde->nde", u, d2f)
+        return e, m, den, G, H
 
-    # -- public surface ---------------------------------------------------
+    # -- public surface: views over the pass ----------------------------------
 
     def log_pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
         xb, single = _as_batch(x, self.potential.dim)
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0.0:
-            out = -self.potential.value(xb)
-        else:
-            pts, _, _ = self._pts(xb, t)
-            u, m = self._relative_density(pts)
-            out = m + np.log(np.sum(u, axis=1))
-        self._check_floor(out)
+        _, m, den, _, _ = self._moments(xb, t)
+        out = m + np.log(den)
         return out[0] if single else out
 
     def pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -122,13 +156,8 @@ class SemigroupEvaluator:
     def grad_pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
         """grad f_t(x) = -e^{-t} E[(f grad V)(e^{-t} x + s Z)], shared nodes."""
         xb, single = _as_batch(x, self.potential.dim)
-        if t == 0.0:
-            out = -self.potential.density(xb)[..., None] * self.potential.grad(xb)
-            return out[0] if single else out
-        pts, e, _ = self._pts(xb, t)
-        u, m = self._relative_density(pts)
-        gv = self.potential.grad(pts)
-        out = -e * np.exp(m)[:, None] * np.einsum("nk,nkd->nd", u, gv)
+        e, m, _, G, _ = self._moments(xb, t, grad=True)
+        out = -e * np.exp(m)[:, None] * G
         return out[0] if single else out
 
     def hess_pt_f(self, x: np.ndarray, t: float, route: str = "commute") -> np.ndarray:
@@ -140,31 +169,11 @@ class SemigroupEvaluator:
         so it works for rough potentials, but requires t > 0.
         """
         xb, single = _as_batch(x, self.potential.dim)
-        dim = self.potential.dim
+        e, m, _, _, H = self._moments(xb, t, hess_route=route)
         if route == "hermite":
-            if t <= 0.0:
-                raise HermiteAtTimeZeroError("hermite route requires t > 0")
-            pts, _, _ = self._pts(xb, t)
-            u, m = self._relative_density(pts)
-            outer = (self._nodes[:, :, None] * self._nodes[:, None, :]
-                     - np.eye(dim)[None, :, :])
-            out = np.einsum("nk,kde->nde", u, outer)
-            out *= (np.exp(m) / np.expm1(2.0 * t))[:, None, None]
-            return out[0] if single else out
-        if route != "commute":
-            raise ValueError(f"unknown hessian route {route!r}")
-        if t == 0.0:
-            f = self.potential.density(xb)
-            g = self.potential.grad(xb)
-            h = self.potential.hess(xb)
-            out = f[..., None, None] * (g[..., :, None] * g[..., None, :] - h)
-            return out[0] if single else out
-        pts, e, _ = self._pts(xb, t)
-        u, m = self._relative_density(pts)
-        gv = self.potential.grad(pts)
-        hv = self.potential.hess(pts)
-        d2f = gv[..., :, None] * gv[..., None, :] - hv
-        out = (e * e) * np.exp(m)[:, None, None] * np.einsum("nk,nkde->nde", u, d2f)
+            out = H * (np.exp(m) / np.expm1(2.0 * t))[:, None, None]
+        else:
+            out = (e * e) * np.exp(m)[:, None, None] * H
         return out[0] if single else out
 
     def drift(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -175,16 +184,8 @@ class SemigroupEvaluator:
         grad V pointwise), and which stays finite in the t -> 0 limit.
         """
         xb, single = _as_batch(x, self.potential.dim)
-        if t == 0.0:
-            out = self.potential.grad(xb)
-            return out[0] if single else out
-        pts, e, _ = self._pts(xb, t)
-        u, m = self._relative_density(pts)
-        den = np.sum(u, axis=1)
-        self._check_floor(m + np.log(den))
-        gv = self.potential.grad(pts)
-        num = np.einsum("nk,nkd->nd", u, gv)
-        out = e * num / den[:, None]
+        e, _, den, G, _ = self._moments(xb, t, grad=True)
+        out = e * G / den[:, None]
         return out[0] if single else out
 
     def drift_and_hess_vt(self, x: np.ndarray, t: float,
@@ -192,35 +193,26 @@ class SemigroupEvaluator:
         """(grad V_t, D^2 V_t) sharing a single quadrature pass.
 
         D^2 V_t = -D^2 f_t / f_t + (grad f_t / f_t) (grad f_t / f_t)^T.
-        Route "auto" picks hermite for t > 0 (only samples V, correct for
-        rough potentials whose pointwise Hessian misses kink curvature) and
-        commute at t = 0.
+        Route "auto" picks hermite (only samples V, correct for rough
+        potentials whose pointwise Hessian misses kink curvature).  At t = 0
+        no route is used: D^2 V_0 is the potential's own Hessian.
         """
         xb, single = _as_batch(x, self.potential.dim)
-        dim = self.potential.dim
         if hess_route == "auto":
-            hess_route = "hermite" if t > 0.0 else "commute"
+            hess_route = "hermite"
         if t == 0.0:
-            g = self.potential.grad(xb)
-            h = self.potential.hess(xb)
-            return (g[0], h[0]) if single else (g, h)
-        pts, e, _ = self._pts(xb, t)
-        u, m = self._relative_density(pts)
-        den = np.sum(u, axis=1)
-        self._check_floor(m + np.log(den))
-        gv = self.potential.grad(pts)
-        grad_ratio = -e * np.einsum("nk,nkd->nd", u, gv) / den[:, None]
-        if hess_route == "hermite":
-            outer = (self._nodes[:, :, None] * self._nodes[:, None, :]
-                     - np.eye(dim)[None, :, :])
-            hess_ratio = np.einsum("nk,kde->nde", u, outer)
-            hess_ratio /= (den * np.expm1(2.0 * t))[:, None, None]
+            hess_route = None
+        e, _, den, G, H = self._moments(xb, t, grad=True, hess_route=hess_route)
+        grad_ratio = -e * G / den[:, None]
+        if hess_route is None:
+            hess_vt = self.potential.hess(xb)
         else:
-            hv = self.potential.hess(pts)
-            d2f = gv[..., :, None] * gv[..., None, :] - hv
-            hess_ratio = (e * e) * np.einsum("nk,nkde->nde", u, d2f) / den[:, None, None]
+            if hess_route == "hermite":
+                hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
+            else:
+                hess_ratio = (e * e) * H / den[:, None, None]
+            hess_vt = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
         drift = -grad_ratio
-        hess_vt = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
         return (drift[0], hess_vt[0]) if single else (drift, hess_vt)
 
     def log_concavity(self, x: np.ndarray, t: float, route: str = "auto") -> np.ndarray:

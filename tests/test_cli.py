@@ -173,6 +173,11 @@ def test_command_mismatch_is_config_error(tmp_path):
     assert cli.main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_unknown_flow_method_config_error(tmp_path):
+    cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"flow": {"method": "adaptive"}})
+    assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_bad_family_params_config_error(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {
         "command": "transport",

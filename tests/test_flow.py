@@ -6,10 +6,9 @@ from heatflow.diagnostics import empirical_lipschitz, ks_distance, rearrangement
 from heatflow.flow import StepperConfig
 
 
-def make_flow(p, t_max=8.0, n_steps=300, nodes=128, method="rk4"):
+def make_flow(p, t_max=8.0, n_steps=300, nodes=128):
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=nodes))
-    return hf.FlowIntegrator(ev, t_max=t_max,
-                             stepper=StepperConfig(method=method, n_steps=n_steps))
+    return hf.FlowIntegrator(ev, t_max=t_max, stepper=StepperConfig(n_steps=n_steps))
 
 
 @pytest.fixture(scope="module")
@@ -122,34 +121,6 @@ def test_halving_steps_stable(flow_one):
     assert abs(a.point[0] - b.point[0]) < 1e-7
 
 
-def test_adaptive_stepper_matches_fixed(gaussian_one):
-    fixed = make_flow(gaussian_one, n_steps=600)
-    adaptive = make_flow(gaussian_one, method="adaptive")
-    y = np.array([1.2])
-    za = adaptive.inverse_transport(y).point[0]
-    zf = fixed.inverse_transport(y).point[0]
-    assert za == pytest.approx(zf, abs=1e-6)
-
-
-def test_adaptive_tolerance_controls_change(gaussian_one):
-    ev = hf.SemigroupEvaluator(gaussian_one, hf.QuadratureScheme(dim=1))
-    y = np.array([1.2])
-    outs = []
-    for tol in (1e-7, 1e-8):
-        fi = hf.FlowIntegrator(ev, t_max=8.0, stepper=StepperConfig(
-            method="adaptive", abs_tol=tol, rel_tol=tol))
-        outs.append(fi.inverse_transport(y).point[0])
-    assert abs(outs[0] - outs[1]) < 10.0 * 1e-7
-
-
-def test_adaptive_step_budget_enforced(gaussian_one):
-    ev = hf.SemigroupEvaluator(gaussian_one, hf.QuadratureScheme(dim=1))
-    fi = hf.FlowIntegrator(ev, t_max=8.0, stepper=StepperConfig(
-        method="adaptive", abs_tol=1e-13, rel_tol=1e-13, max_steps=5))
-    with pytest.raises(hf.errors.StepFailureError):
-        fi.inverse_transport(np.array([1.0]))
-
-
 # -- sampling harness ----------------------------------------------------------------------
 
 
@@ -161,11 +132,30 @@ def test_pushforward_deterministic(std_bump):
     assert np.array_equal(a.outputs, b.outputs)
 
 
-def test_pushforward_chunk_independent(std_bump):
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_pushforward_chunk_independent(std_bump, with_jacobian):
     fi = make_flow(std_bump, t_max=8.0, n_steps=100, nodes=48)
-    a = fi.pushforward_samples(500, seed=9, with_jacobian=False, chunk=500)
-    b = fi.pushforward_samples(500, seed=9, with_jacobian=False, chunk=77)
+    a = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=500)
+    b = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=77)
     assert np.array_equal(a.outputs, b.outputs)
+    if with_jacobian:
+        assert np.array_equal(a.jacobian_norms, b.jacobian_norms)
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_underflow_row_isolated(with_jacobian):
+    # the row at 80 underflows the density floor; the others must come out
+    # exactly as in a batch that never contained it
+    fi = make_flow(hf.normalize(hf.gaussian(3.0)), t_max=8.0, n_steps=100, nodes=64)
+    ys = np.array([[0.5], [80.0], [-1.0], [2.0]])
+    z, J, failed = fi.transport_batch(ys, with_jacobian=with_jacobian)
+    assert np.flatnonzero(failed).tolist() == [1] and z[1, 0] == 80.0
+    keep = [0, 2, 3]
+    z_ok, J_ok, failed_ok = fi.transport_batch(ys[keep], with_jacobian=with_jacobian)
+    assert not failed_ok.any()
+    assert np.array_equal(z[keep], z_ok)
+    if with_jacobian:
+        assert np.array_equal(J[keep], J_ok)
 
 
 def test_pushforward_identity_for_constant(flow_const):
@@ -214,12 +204,11 @@ def test_dim2_gaussian_transport():
 
 
 def test_trajectory_and_map_tables(std_bump):
-    from heatflow.flow import map_table, trajectory_table
+    from heatflow.flow import map_table
     fi = make_flow(std_bump, t_max=4.0, n_steps=50, nodes=48)
     rec = fi.forward_flow(np.array([[0.5], [1.0]]), 0.0, 4.0)
-    cols = trajectory_table(rec, index=1)
-    assert set(cols) == {"index", "t", "x_0"}
-    assert cols["t"].size == 51 and cols["x_0"][0] == 1.0
+    assert rec.times.size == 51 and rec.states.shape == (51, 2, 1)
+    assert rec.states[0, 1, 0] == 1.0
     ps = fi.pushforward_samples(5, seed=1, with_jacobian=True)
     table = map_table(ps)
     assert len(table) == 5

@@ -8,7 +8,6 @@ from heatflow.errors import DimensionTooHighError, NonIntegrableError
 from heatflow.quadrature import (
     gauss_hermite_1d,
     gaussian_expectation_adaptive,
-    mc_substream,
 )
 
 
@@ -47,13 +46,6 @@ def test_mc_deterministic_and_antithetic():
     assert abs(w1.sum() - 1.0) < 1e-12
     # antithetic pairing kills odd moments exactly
     assert abs(np.sum(n1, axis=0)).max() < 1e-10
-
-
-def test_mc_substreams_keyed_by_worker():
-    a = mc_substream(123, 0, 50, 1)
-    b = mc_substream(123, 1, 50, 1)
-    assert not np.allclose(a, b)
-    assert np.array_equal(a, mc_substream(123, 0, 50, 1))
 
 
 def test_adaptive_quadratic_exact():
