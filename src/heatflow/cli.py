@@ -111,6 +111,11 @@ def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     return scheme.scaled(QUICK_SCALE) if quick else scheme
 
 
+def _potential_dim(pcfg: dict) -> int:
+    """Dimension of a potential config, needed to build the scheme first."""
+    return int(pcfg.get("params", {}).get("dim", 1))
+
+
 def _potential_from(cfg: dict, scheme: QuadratureScheme):
     if "potential" not in cfg:
         raise ConfigError("config needs a 'potential' entry")
@@ -142,8 +147,7 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
     if quick:
         count = max(100, count // 10)
     seed = int(cfg.get("seed", 0))
-    dim = int(cfg.get("potential", {}).get("params", {}).get("dim", 1))
-    scheme = _scheme_from(cfg, dim, quick)
+    scheme = _scheme_from(cfg, _potential_dim(cfg.get("potential", {})), quick)
     pot = _potential_from(cfg, scheme)
     ev = SemigroupEvaluator(pot, scheme)
     fi = _flow_from(cfg, ev, quick)
@@ -166,19 +170,15 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
         _write_json(out / "map.json",
                     {"provenance": _provenance(cfg), "map": map_table(ps)})
 
-    report = diagnostics.DiagnosticsReport()
-    report.failed_sample_indices = ps.failed_indices.tolist()
     ok = np.setdiff1d(np.arange(count), ps.failed_indices)
-    report.ks_distance = diagnostics.ks_distance(ps.outputs[ok], pot)
     emp = diagnostics.empirical_lipschitz(ps.inputs[ok], ps.outputs[ok])
-    report.empirical_lipschitz = emp.ratio
     lam, c = pot.curvature_lower, pot.oscillation
     summary = {
         "command": "transport",
         "seed": seed,
         "samples": count,
         "failed_samples": ps.failed_indices.tolist(),
-        "ks": report.ks_distance,
+        "ks": diagnostics.ks_distance(ps.outputs[ok], pot),
         "empirical_lipschitz": emp.ratio,
         "duplicate_pairs_skipped": emp.duplicates_skipped,
         "error_bound": ps.error_bound,
@@ -192,11 +192,8 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
         summary["l_theorem"] = l_theorem
         summary["km_numeric"] = km
         summary["lipschitz_within_theorem"] = bool(emp.ratio <= l_theorem)
-        report.bound_comparisons.append(diagnostics.BoundComparison(
-            "empirical_lipschitz_vs_theorem", emp.ratio, l_theorem, 0.0))
-    summary["pass"] = bool(
-        report.all_passed and ps.failed_indices.size == 0
-    )
+    summary["pass"] = (ps.failed_indices.size == 0
+                       and summary.get("lipschitz_within_theorem", True))
     _write_json(out / "summary.json", {"provenance": _provenance(cfg)} | summary)
     return EXIT_OK if summary["pass"] else EXIT_NUMERIC
 
@@ -287,10 +284,11 @@ DEFAULT_VERIFY_JOBS = [
 
 
 def _verify_potential_job(job: dict, quick: bool) -> list[dict]:
-    scheme = _scheme_from({"scheme": job.get("scheme", {})}, 1, quick)
+    dim = _potential_dim(job)
+    scheme = _scheme_from({"scheme": job.get("scheme", {})}, dim, quick)
     pot = from_config(job, scheme)
     ev = SemigroupEvaluator(pot, scheme)
-    grid = GridSpec(-4.0, 4.0, 21 if quick else 41)
+    grid = GridSpec(-4.0, 4.0, 21 if quick else 41, dim)
     tol = 1e-4
     checks: list[dict] = []
 
@@ -326,7 +324,7 @@ def _verify_potential_job(job: dict, quick: bool) -> list[dict]:
     if pot.grad_sup_norm is not None:
         pts = grid.points()
         for t in (0.1, 0.5, 1.0, 2.0):
-            sup = float(np.max(np.abs(ev.drift(pts, t))))
+            sup = float(np.max(np.linalg.norm(ev.drift(pts, t), axis=-1)))
             budget = float(np.exp(-t) * pot.grad_sup_norm)
             checks.append({
                 "name": f"drift_bound[{pot.name}, t={t}]",

@@ -8,7 +8,7 @@ runs through direct adaptive quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,9 +165,6 @@ class EmpiricalLipschitz:
     ratio: float
     pairs_evaluated: int
     duplicates_skipped: int
-
-    def __float__(self):
-        return self.ratio
 
 
 def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray,
@@ -414,45 +411,3 @@ def tail_test(p: Potential, xs: Sequence[float],
     implied = float(np.sqrt(-1.0 / (2.0 * a2))) if a2 < -1e-12 else None
     return TailFit(xs, log_tail, float(b1), float(b0), float(a2), float(a1),
                    float(a0), incompatible, implied)
-
-
-# -- report containers ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundComparison:
-    name: str
-    measured: float
-    bound: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.bound + self.tolerance
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "measured": self.measured,
-                "bound": self.bound, "tolerance": self.tolerance,
-                "pass": self.passed}
-
-
-@dataclass
-class DiagnosticsReport:
-    ks_distance: Optional[float] = None
-    empirical_lipschitz: Optional[float] = None
-    bound_comparisons: list = field(default_factory=list)
-    counterexample_results: dict = field(default_factory=dict)
-    failed_sample_indices: list = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.bound_comparisons)
-
-    def as_dict(self) -> dict:
-        return {
-            "ks_distance": self.ks_distance,
-            "empirical_lipschitz": self.empirical_lipschitz,
-            "bound_comparisons": [c.as_dict() for c in self.bound_comparisons],
-            "counterexample_results": self.counterexample_results,
-            "failed_sample_indices": list(map(int, self.failed_sample_indices)),
-        }

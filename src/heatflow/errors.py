@@ -34,7 +34,15 @@ class BadParamsError(HeatflowError):
 
 
 class DensityUnderflowError(HeatflowError):
-    """A smoothed density estimate fell below the configured floor."""
+    """A smoothed density estimate fell below the configured floor.
+
+    rows: indices, within the evaluated batch, of the points whose
+    estimate failed (empty when the failure is not tied to batch rows).
+    """
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = [int(i) for i in rows]
 
 
 class HermiteAtTimeZeroError(HeatflowError):

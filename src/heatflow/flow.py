@@ -160,31 +160,36 @@ class FlowIntegrator:
     def transport_batch(self, y: np.ndarray, with_jacobian: bool = False):
         """Backward integration from t_max to 0 for a batch of points.
 
-        Returns (points, jacobians or None, failed_mask).  Samples whose
-        density underflows are returned at their input, with an identity
-        Jacobian, and flagged rather than dropped, so indices stay aligned.
+        Returns (points, jacobians or None, failed_mask).  A sample fails
+        when its density falls below the evaluator's floor at some stage or
+        its state ends non-finite; either way it is returned at its input,
+        with an identity Jacobian, and flagged rather than dropped, so
+        indices stay aligned.  The floor check names the rows it rejects:
+        those rows are dropped and the survivors rerun as one batch, so
+        every other sample is bit-identical to a batch without the failures.
         """
         yb = np.atleast_2d(np.asarray(y, dtype=float))
+        n, dim = yb.shape
         grid = self._grid(self.t_max, 0.0)
-        try:
-            z, J = self._rk4(yb, grid, with_jacobian)
-            failed = ~np.all(np.isfinite(z), axis=1)
-        except DensityUnderflowError:
-            # retry samplewise to isolate the failing points
-            z = np.empty_like(yb)
-            J = (np.empty(yb.shape + (yb.shape[1],)) if with_jacobian else None)
-            failed = np.zeros(yb.shape[0], dtype=bool)
-            for i in range(yb.shape[0]):
-                try:
-                    zi, Ji = self._rk4(yb[i:i + 1], grid, with_jacobian)
-                    z[i] = zi[0]
-                    if with_jacobian:
-                        J[i] = Ji[0]
-                except DensityUnderflowError:
-                    z[i] = yb[i]
-                    if with_jacobian:
-                        J[i] = np.eye(yb.shape[1])
-                    failed[i] = True
+        z = yb.copy()
+        J = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy() if with_jacobian else None
+        failed = np.ones(n, dtype=bool)
+        live = np.arange(n)
+        while live.size:
+            try:
+                z_live, J_live = self._rk4(yb[live], grid, with_jacobian)
+            except DensityUnderflowError as exc:
+                if not exc.rows:
+                    raise
+                live = np.delete(live, exc.rows)
+                continue
+            ok = np.all(np.isfinite(z_live), axis=1)
+            if with_jacobian:
+                ok &= np.all(np.isfinite(J_live), axis=(1, 2))
+                J[live[ok]] = J_live[ok]
+            z[live[ok]] = z_live[ok]
+            failed[live[ok]] = False
+            break
         return z, J, failed
 
     def truncation_error_bound(self) -> Optional[float]:

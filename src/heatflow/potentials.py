@@ -115,14 +115,6 @@ class Potential:
             return self.hess_fn(x)
         return self._fd_hess(x)
 
-    @property
-    def has_analytic_grad(self) -> bool:
-        return self.grad_fn is not None
-
-    @property
-    def has_analytic_hess(self) -> bool:
-        return self.hess_fn is not None
-
     def _steps(self, x: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
         return FD_STEP * (1.0 + r)
@@ -485,16 +477,15 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
 
 
 def mollify(p: Potential, sigma: float,
-            scheme: QuadratureScheme | None = None,
-            grad_window: float = 6.0) -> Potential:
+            scheme: QuadratureScheme | None = None) -> Potential:
     """Potential of (e^{-V} dgamma) convolved with N(0, sigma^2 Id), against gamma.
 
     The Lebesgue density q = e^{-V} phi_n is smoothed to q_sigma = q * phi_sigma
     by quadrature over the mollifier variable; derivatives differentiate the
     mollifier, so the output has smooth gradient and Hessian even when V has
-    kinks.  grad_sup_norm is estimated as a sup over [-grad_window, grad_window]
-    per axis (finite for the smoothed potential on that window, not a global
-    certificate for families whose tails steepen).
+    kinks.  No gradient bound is declared: the smoothed gradient can grow
+    without bound in the tails (linear_tail), so a sup over a finite window
+    would certify nothing.
     """
     if sigma <= 0:
         raise BadParamsError("mollify requires sigma > 0")
@@ -537,15 +528,11 @@ def mollify(p: Potential, sigma: float,
         eye = np.eye(dim)
         return -h / q0[..., None, None] + gn[..., :, None] * gn[..., None, :] - eye
 
-    out = Potential(
+    return Potential(
         dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
         curvature_lower=None, oscillation=None, grad_sup_norm=None,
         name=f"mollify({p.name}, sigma={sigma})",
     )
-    axis = np.linspace(-grad_window, grad_window, 241)
-    pts = axis[:, None] if dim == 1 else GridSpec(-grad_window, grad_window, 25, dim).points()
-    gsup = float(np.max(np.linalg.norm(out.grad(pts), axis=-1)))
-    return dataclasses.replace(out, grad_sup_norm=gsup)
 
 
 def lipschitz_regularize(

@@ -85,10 +85,6 @@ class QuadratureScheme:
         weights = np.full(2 * m, 1.0 / (2 * m))
         return nodes, weights
 
-    def with_nodes(self, node_count: int) -> "QuadratureScheme":
-        return QuadratureScheme(self.dim, self.kind, node_count,
-                                self.sample_count, self.seed)
-
     def scaled(self, factor: float) -> "QuadratureScheme":
         """Scheme with node/sample counts scaled (used by the CLI --quick mode)."""
         return QuadratureScheme(

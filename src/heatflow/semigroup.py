@@ -57,9 +57,12 @@ def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.
 class SemigroupEvaluator:
     """Evaluates f_t = P_t e^{-V}, its derivatives and the flow drift.
 
-    floor: estimates at or below this density raise DensityUnderflowError
-    rather than silently flushing to zero; the drift divides by f_t and a
-    silent zero would poison trajectories.  Immutable, safe to share.
+    floor: estimates at or below this density, or undefined ones (V = +inf
+    at every node), raise DensityUnderflowError rather than silently
+    flushing to zero; the drift divides by f_t and a silent zero would
+    poison trajectories.  The error's `rows` names every offending row of
+    the batch, so a caller can drop exactly those rows and rerun the rest
+    (see FlowIntegrator.transport_batch).  Immutable, safe to share.
     """
 
     potential: Potential
@@ -99,7 +102,8 @@ class SemigroupEvaluator:
         D^2 V) on the commute route (None without a route).  At t = 0 the
         point x is its own single node with unit weight, so every sum is V
         and its derivatives evaluated exactly at x.  Raises
-        DensityUnderflowError when f_t is at or below the floor.
+        DensityUnderflowError, naming the rows, when f_t is at or below
+        the floor or undefined for any row.
         """
         if hess_route not in (None, "commute", "hermite"):
             raise ValueError(f"unknown hessian route {hess_route!r}")
@@ -116,11 +120,12 @@ class SemigroupEvaluator:
             logw = self._logw
         u, m = self._relative_density(pts, logw)
         den = np.sum(u, axis=1)
-        if np.any(m + np.log(den) <= np.log(self.floor)):
+        # NaN-safe: a row with zero density at every node has log f_t = NaN
+        low = ~(m + np.log(den) > np.log(self.floor))
+        if np.any(low):
             raise DensityUnderflowError(
                 "smoothed density at or below floor; quadrature range too "
-                "small for the queried tail"
-            )
+                "small for the queried tail", rows=np.flatnonzero(low))
         G = H = None
         if grad or hess_route == "commute":
             gv = self.potential.grad(pts)

@@ -112,6 +112,31 @@ def test_verify_default_passes(tmp_path):
     assert all("measured" in c for c in rep["checks"])
 
 
+BUMP2D = {"family": "bump", "params": {"radius": 0.5, "height": 0.5, "dim": 2}}
+
+
+def test_verify_2d_job_passes(tmp_path):
+    cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "jobs": [BUMP2D]})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["pass"] is True
+    assert any("drift_bound" in c["name"] for c in rep["checks"])
+
+
+def test_transport_2d_job(tmp_path):
+    cfg = write_cfg(tmp_path / "job.json", {
+        "command": "transport", "potential": BUMP2D,
+        "scheme": {"node_count": 12}, "flow": {"t_max": 6.0, "n_steps": 30},
+        "samples": 50, "seed": 3,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "samples.csv").read_text().splitlines()
+    cols = [l for l in lines if not l.startswith("#")][0].split(",")
+    assert cols[:5] == ["index", "input_0", "input_1", "output_0", "output_1"]
+
+
 def test_verify_wrong_declared_curvature_fails(tmp_path):
     cfg = write_cfg(tmp_path / "v.json", {
         "command": "verify",

@@ -142,20 +142,59 @@ def test_pushforward_chunk_independent(std_bump, with_jacobian):
         assert np.array_equal(a.jacobian_norms, b.jacobian_norms)
 
 
-@pytest.mark.parametrize("with_jacobian", [False, True])
-def test_underflow_row_isolated(with_jacobian):
-    # the row at 80 underflows the density floor; the others must come out
-    # exactly as in a batch that never contained it
-    fi = make_flow(hf.normalize(hf.gaussian(3.0)), t_max=8.0, n_steps=100, nodes=64)
-    ys = np.array([[0.5], [80.0], [-1.0], [2.0]])
+def assert_row_isolated(fi, ys, bad, with_jacobian):
+    """Only row `bad` fails; it comes back at its input with an identity
+    Jacobian, and the others exactly as in a batch that never contained it."""
     z, J, failed = fi.transport_batch(ys, with_jacobian=with_jacobian)
-    assert np.flatnonzero(failed).tolist() == [1] and z[1, 0] == 80.0
-    keep = [0, 2, 3]
+    assert np.flatnonzero(failed).tolist() == [bad]
+    assert np.array_equal(z[bad], ys[bad])
+    if with_jacobian:
+        assert np.array_equal(J[bad], np.eye(ys.shape[1]))
+    keep = np.arange(ys.shape[0]) != bad
     z_ok, J_ok, failed_ok = fi.transport_batch(ys[keep], with_jacobian=with_jacobian)
     assert not failed_ok.any()
     assert np.array_equal(z[keep], z_ok)
     if with_jacobian:
         assert np.array_equal(J[keep], J_ok)
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_underflow_row_isolated(with_jacobian):
+    # the row at 80 underflows the density floor
+    fi = make_flow(hf.normalize(hf.gaussian(3.0)), t_max=8.0, n_steps=100, nodes=64)
+    ys = np.array([[0.5], [80.0], [-1.0], [2.0]])
+    assert_row_isolated(fi, ys, 1, with_jacobian)
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_zero_density_row_isolated(with_jacobian):
+    # mollify's V is +inf near -50 (the smoothed density is exactly zero),
+    # so that row's log f_t is NaN rather than below the floor
+    fi = make_flow(hf.mollify(hf.linear_tail(), 0.5), t_max=8.0, n_steps=100, nodes=64)
+    ys = np.array([[0.5], [-50.0], [-1.0], [2.0]])
+    assert_row_isolated(fi, ys, 1, with_jacobian)
+
+
+def test_underflow_row_reruns_survivors_once(monkeypatch):
+    # one failing row costs at most one more batch integration, not a
+    # serial integration per row
+    fi = make_flow(hf.normalize(hf.gaussian(3.0)), t_max=8.0, n_steps=100, nodes=64)
+    passes = []
+    inner = hf.SemigroupEvaluator.drift_and_hess_vt
+
+    def counting(self, *args, **kwargs):
+        passes.append(1)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(hf.SemigroupEvaluator, "drift_and_hess_vt", counting)
+    ys = np.random.default_rng(0).standard_normal((64, 1))
+    fi.transport_batch(ys, with_jacobian=True)
+    clean = len(passes)
+    ys[17, 0] = 80.0
+    passes.clear()
+    _, _, failed = fi.transport_batch(ys, with_jacobian=True)
+    assert np.flatnonzero(failed).tolist() == [17]
+    assert len(passes) <= 2 * clean
 
 
 def test_pushforward_identity_for_constant(flow_const):

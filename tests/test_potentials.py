@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import heatflow as hf
+from heatflow import cli
 from heatflow.errors import (
     BadParamsError,
     GridTooCoarseError,
@@ -204,9 +206,25 @@ def test_mollify_gaussian_closed_form():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_mollify_linear_tail_has_finite_grad_estimate():
-    sm = hf.mollify(hf.normalize(hf.linear_tail()), 0.1)
-    assert sm.grad_sup_norm is not None and np.isfinite(sm.grad_sup_norm)
+def test_mollify_declares_no_grad_bound(tmp_path):
+    # |V'| of a mollified linear tail grows without bound, so no window sup
+    # may stand in for sup |grad V| and certify a transport
+    sm = hf.mollify(hf.normalize(hf.linear_tail()), 0.5)
+    assert sm.grad_sup_norm is None
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": "transport",
+        "potential": {"family": "linear_tail",
+                      "transforms": [{"op": "mollify", "sigma": 0.5}]},
+        "scheme": {"node_count": 16},
+        "flow": {"t_max": 4.0, "n_steps": 20},
+        "samples": 20,
+        "with_jacobian": False,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["certified"] is False and summary["error_bound"] is None
 
 
 # -- inf-convolution envelope ---------------------------------------------------------

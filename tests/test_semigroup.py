@@ -154,6 +154,16 @@ def test_drift_underflow_raises(gh_scheme):
         ev.drift(np.array([40.0]), 0.001)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.01])
+def test_zero_density_row_raises_with_its_index(gh_scheme, t):
+    # mollify's V is +inf near -50: every node has zero density, so
+    # log f_t is NaN there and must still count as below the floor
+    ev = hf.SemigroupEvaluator(hf.mollify(hf.linear_tail(), 0.5), gh_scheme)
+    with pytest.raises(DensityUnderflowError) as exc:
+        ev.drift(np.array([[0.5], [-50.0], [1.0]]), t)
+    assert exc.value.rows == [1]
+
+
 # -- log-concavity profiles -------------------------------------------------------------------
 
 
