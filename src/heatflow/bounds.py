@@ -16,7 +16,6 @@ headline constant 2 (2 lam)^{e^c} dominates it everywhere.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +23,28 @@ import numpy as np
 from .errors import DomainError, LambdaBelowOneError, NonIntegrableError
 
 T_CUT_DEFAULT = 20.0
+
+
+def _curvature_route(lam: float, t):
+    """lam e^{-2t} / (1 - lam (1 - e^{-2t})), +inf past the route's pole."""
+    e2 = np.exp(-2.0 * t)
+    denom = 1.0 - lam * (1.0 - e2)
+    return np.where(denom > 0, lam * e2 / np.where(denom > 0, denom, 1.0), np.inf)
+
+
+def _oscillation_route(c: float, t):
+    """e^c / (e^{2t} - 1), +inf at t <= 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(t > 0, np.exp(c) / np.expm1(2.0 * t), np.inf)
+
+
+def _oscillation_tail(c: float, s: float) -> float:
+    """e^c * integral_s^inf dt / (e^{2t} - 1) = e^c (-log(1 - e^{-2s}) / 2).
+
+    Diverges as s -> 0; inf is the correct value there.
+    """
+    with np.errstate(divide="ignore"):
+        return float(np.exp(c) * (-0.5 * np.log1p(-np.exp(-2.0 * s))))
 
 
 def curvature_profile_value(lam: float, t) -> np.ndarray:
@@ -37,13 +58,11 @@ def curvature_profile_value(lam: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("time must be >= 0")
-    e2 = np.exp(-2.0 * t)
-    denom = 1.0 - lam * (1.0 - e2)
-    if np.any(denom <= 0):
+    if np.any(lam * (1.0 - np.exp(-2.0 * t)) >= 1.0):
         raise DomainError(
             f"curvature route undefined where lam*(1-e^-2t) >= 1 (lam={lam})"
         )
-    out = lam * e2 / denom
+    out = _curvature_route(lam, t)
     return out if out.shape else float(out)
 
 
@@ -54,8 +73,7 @@ def oscillation_profile_value(c: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise DomainError("oscillation route requires t > 0")
-    with np.errstate(over="ignore"):
-        out = np.exp(c) / np.expm1(2.0 * t)
+    out = _oscillation_route(c, t)
     return out if out.shape else float(out)
 
 
@@ -88,10 +106,7 @@ def profile_integral_split(lam: float, c: float, s: float) -> tuple[float, float
     if arg <= 0:
         raise DomainError("split point beyond the curvature route's domain")
     head = -0.5 * np.log(arg)
-    with np.errstate(divide="ignore"):
-        # the tail integral diverges as s -> 0; inf is the correct value there
-        tail = np.exp(c) * (-0.5 * np.log1p(-e2)) if s > 0 else np.inf
-    return float(head), float(tail)
+    return float(head), _oscillation_tail(c, s)
 
 
 def lipschitz_bound(lam: float, c: float) -> tuple[float, float]:
@@ -114,49 +129,33 @@ def lipschitz_bound(lam: float, c: float) -> tuple[float, float]:
 class LambdaProfile:
     """A curvature budget t -> lam(t) with its integration metadata.
 
-    kind: "curvature" | "oscillation" | "combined" | "hessian_floor" | "tabulated".
     valid_from: left end of the domain (0 unless the profile needs t > 0).
-    closed_tail(t_cut): exact integral past t_cut when the kind admits one.
+    closed_tail(t_cut): exact integral past t_cut, or None when the profile
+    has no closed form there.
     """
 
-    kind: str
-    params: dict
     fn: Callable[[np.ndarray], np.ndarray]
     valid_from: float = 0.0
     switch_point: Optional[float] = None
+    closed_tail: Optional[Callable[[float], float]] = None
 
     def __call__(self, t) -> np.ndarray:
         return self.fn(np.asarray(t, dtype=float))
 
-    def closed_tail(self, t_cut: float) -> Optional[float]:
-        if self.kind in ("oscillation", "combined"):
-            c = self.params["c"]
-            return float(np.exp(c) * (-0.5 * np.log1p(-np.exp(-2.0 * t_cut))))
-        if self.kind == "hessian_floor":
-            C, f_min = self.params["C"], self.params["f_min"]
-            return float(C * np.exp(-2.0 * t_cut) / (2.0 * f_min))
-        if self.kind == "curvature":
-            lam = self.params["lam"]
-            if lam < 1.0:
-                e2 = np.exp(-2.0 * t_cut)
-                return float(-0.5 * (np.log(1.0 - lam) - np.log(1.0 - lam * (1.0 - e2))))
-        return None
-
 
 def curvature_profile(lam: float) -> LambdaProfile:
-    return LambdaProfile(
-        "curvature", {"lam": lam},
-        lambda t: curvature_profile_value(lam, t),
-        valid_from=0.0,
-    )
+    tail = None
+    if lam < 1.0:
+        def tail(t_cut):
+            e2 = np.exp(-2.0 * t_cut)
+            return float(-0.5 * (np.log(1.0 - lam) - np.log(1.0 - lam * (1.0 - e2))))
+    return LambdaProfile(lambda t: curvature_profile_value(lam, t), closed_tail=tail)
 
 
 def oscillation_profile(c: float) -> LambdaProfile:
-    return LambdaProfile(
-        "oscillation", {"c": c},
-        lambda t: oscillation_profile_value(c, t),
-        valid_from=np.nextafter(0.0, 1.0),
-    )
+    return LambdaProfile(lambda t: oscillation_profile_value(c, t),
+                         valid_from=np.nextafter(0.0, 1.0),
+                         closed_tail=lambda t_cut: _oscillation_tail(c, t_cut))
 
 
 def hessian_floor_profile(C: float, f_min: float) -> LambdaProfile:
@@ -169,9 +168,8 @@ def hessian_floor_profile(C: float, f_min: float) -> LambdaProfile:
     if f_min <= 0:
         raise DomainError("density floor must be positive")
     return LambdaProfile(
-        "hessian_floor", {"C": C, "f_min": f_min},
         lambda t: C * np.exp(-2.0 * t) / f_min,
-        valid_from=0.0,
+        closed_tail=lambda t_cut: float(C * np.exp(-2.0 * t_cut) / (2.0 * f_min)),
     )
 
 
@@ -187,30 +185,17 @@ def combined_profile(lam: float, c: float) -> LambdaProfile:
         raise LambdaBelowOneError("combined profile defined for lam >= 1")
     if c < 0:
         raise DomainError("oscillation must be >= 0")
-    t_pole = curvature_blowup_time(lam)
-
-    def value(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        scalar = t.shape == ()
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        with np.errstate(divide="ignore", over="ignore"):
-            osc = np.where(t > 0, np.exp(c) / np.expm1(2.0 * np.maximum(t, 1e-300)),
-                           np.inf)
-        e2 = np.exp(-2.0 * t)
-        denom = 1.0 - lam * (1.0 - e2)
-        curv = np.where(denom > 0, lam * e2 / np.where(denom > 0, denom, 1.0), np.inf)
-        out = np.minimum(curv, osc)
-        return out[0] if scalar else out
-
     # branch crossover in closed form: equating the two routes at u = e^{-2t}
     # gives u* = 1 - e^c / (lam (1 + e^c)), always inside (0, 1) and strictly
     # before the curvature pole
     ec = np.exp(c)
     u_star = 1.0 - ec / (lam * (1.0 + ec))
     t_star = -0.5 * np.log(u_star)
-    return LambdaProfile("combined", {"lam": lam, "c": c}, value,
-                         valid_from=0.0, switch_point=float(t_star))
+    return LambdaProfile(
+        lambda t: np.minimum(_curvature_route(lam, t), _oscillation_route(c, t)),
+        switch_point=float(t_star),
+        closed_tail=lambda t_cut: _oscillation_tail(c, t_cut),
+    )
 
 
 def tabulated_profile(ts: np.ndarray, values: np.ndarray) -> LambdaProfile:
@@ -220,13 +205,13 @@ def tabulated_profile(ts: np.ndarray, values: np.ndarray) -> LambdaProfile:
     def value(t):
         return np.interp(np.asarray(t, dtype=float), ts, values, right=0.0)
 
-    return LambdaProfile("tabulated", {}, value, valid_from=float(ts[0]))
+    return LambdaProfile(value, valid_from=float(ts[0]))
 
 
 # -- adaptive Simpson integration ------------------------------------------
 
 
-def _simpson(f, a, b, fa, fm, fb):
+def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -242,15 +227,15 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
     fa, fb = float(f(a)), float(f(b))
     m = 0.5 * (a + b)
     fm = float(f(m))
-    whole = _simpson(f, a, b, fa, fm, fb)
+    whole = _simpson(a, b, fa, fm, fb)
     tol0 = rel_tol * max(abs(whole), 1e-12)
 
     def recurse(a, b, fa, fm, fb, whole, tol, depth):
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         flm, frm = float(f(lm)), float(f(rm))
-        left = _simpson(f, a, m, fa, flm, fm)
-        right = _simpson(f, m, b, fm, frm, fb)
+        left = _simpson(a, m, fa, flm, fm)
+        right = _simpson(m, b, fm, frm, fb)
         if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
@@ -278,13 +263,13 @@ def lipschitz_from_profile(profile: LambdaProfile,
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
         total += simpson_adaptive(lambda t: float(profile(t)), lo, hi, rel_tol)
-    tail = profile.closed_tail(t_cut)
-    if tail is None:
-        est = float(profile(t_cut)) * 0.5
-        if est > 1e-8:
-            raise NonIntegrableError(
-                "profile tail beyond t_cut is not negligible and has no closed form"
-            )
+    if profile.closed_tail is not None:
+        tail = profile.closed_tail(t_cut)
+    elif float(profile(t_cut)) * 0.5 > 1e-8:
+        raise NonIntegrableError(
+            "profile tail beyond t_cut is not negligible and has no closed form"
+        )
+    else:
         tail = 0.0
     if not np.isfinite(total) or not np.isfinite(tail):
         raise NonIntegrableError("profile integral diverged")
@@ -302,6 +287,12 @@ class BoundSummary:
     l_tight: float
     l_theorem: float
     km_numeric: float
+
+    @property
+    def ordering_ok(self) -> bool:
+        """km_numeric <= l_tight (to 1e-6) and l_tight <= l_theorem."""
+        return bool(self.km_numeric <= self.l_tight + 1e-6
+                    and self.l_tight <= self.l_theorem)
 
     def as_dict(self) -> dict:
         return {
@@ -321,10 +312,5 @@ def bound_summary(lam: float, c: float) -> BoundSummary:
 def profile_table(lam: float, c: float, ts: np.ndarray) -> dict[str, np.ndarray]:
     """Columns for the CSV export: t, lambda5, lambda6, combined."""
     ts = np.asarray(ts, dtype=float)
-    comb = combined_profile(lam, c)
-    with np.errstate(divide="ignore", over="ignore"):
-        e2 = np.exp(-2.0 * ts)
-        denom = 1.0 - lam * (1.0 - e2)
-        l5 = np.where(denom > 0, lam * e2 / np.where(denom > 0, denom, 1.0), np.inf)
-        l6 = np.where(ts > 0, np.exp(c) / np.expm1(2.0 * np.maximum(ts, 1e-300)), np.inf)
-    return {"t": ts, "lambda5": l5, "lambda6": l6, "combined": comb(ts)}
+    return {"t": ts, "lambda5": _curvature_route(lam, ts),
+            "lambda6": _oscillation_route(c, ts), "combined": combined_profile(lam, c)(ts)}

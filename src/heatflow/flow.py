@@ -25,6 +25,10 @@ from .semigroup import SemigroupEvaluator
 
 DEFAULT_T_MAX = 12.0
 DEFAULT_RK4_STEPS = 600
+# The kink-sampling Hessian route amplifies noise like 1/t as t -> 0, so
+# the variational equation clamps Hessian evaluations below this time to
+# it; smooth potentials at t = 0 use their own Hessian directly.
+T_HESS_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,18 +90,11 @@ def _axpy(y, a, k):
 
 @dataclass(frozen=True)
 class FlowIntegrator:
-    """Time-stepping engine for the flow and its variational equation.
-
-    t_hess_floor regularizes the variational equation for rough potentials:
-    the kink-sampling Hessian route amplifies noise like 1/t as t -> 0, so
-    Hessian evaluations below the floor are clamped to it.  Smooth
-    potentials at t = 0 use their own Hessian directly.
-    """
+    """Time-stepping engine for the flow and its variational equation."""
 
     evaluator: SemigroupEvaluator
     t_max: float = DEFAULT_T_MAX
     stepper: StepperConfig = field(default_factory=StepperConfig)
-    t_hess_floor: float = 1e-3
 
     # -- the vector field and its one stepper ----------------------------
 
@@ -107,7 +104,7 @@ class FlowIntegrator:
         t = max(t, 0.0)
         if J is None:
             return self.evaluator.drift(z, t), None
-        t_h = t if (t == 0.0 or t >= self.t_hess_floor) else self.t_hess_floor
+        t_h = t if (t == 0.0 or t >= T_HESS_FLOOR) else T_HESS_FLOOR
         if t_h == t:
             dz, H = self.evaluator.drift_and_hess_vt(z, t)
         else:

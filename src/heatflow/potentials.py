@@ -185,14 +185,6 @@ class ValidationReport:
     min_hess_eigenvalue: float
     grid_oscillation: float
 
-    @property
-    def ok(self) -> bool:
-        tol = 1e-6
-        for v in (self.curvature_violation, self.oscillation_violation):
-            if v is not None and v > tol:
-                return False
-        return True
-
 
 def validate_metadata(p: Potential, grid: GridSpec) -> ValidationReport:
     """Worst-case declared-metadata violations over the grid; never mutates p."""
@@ -483,50 +475,51 @@ def mollify(p: Potential, sigma: float,
     The Lebesgue density q = e^{-V} phi_n is smoothed to q_sigma = q * phi_sigma
     by quadrature over the mollifier variable; derivatives differentiate the
     mollifier, so the output has smooth gradient and Hessian even when V has
-    kinks.  No gradient bound is declared: the smoothed gradient can grow
-    without bound in the tails (linear_tail), so a sup over a finite window
-    would certify nothing.
+    kinks.  The quadrature sums are max-shifted in log space, so the value
+    and gradient stay finite wherever V is finite, far past where q itself
+    underflows.  No gradient bound is declared: the smoothed gradient can
+    grow without bound in the tails (linear_tail), so a sup over a finite
+    window would certify nothing.
     """
     if sigma <= 0:
         raise BadParamsError("mollify requires sigma > 0")
     if scheme is None:
         scheme = QuadratureScheme(dim=p.dim)
     nodes, w = scheme.nodes_weights()  # (K, dim), (K,)
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
     dim = p.dim
-    norm = (2.0 * np.pi) ** (-dim / 2.0)
-
-    def q(y):
-        sq = np.sum(y * y, axis=-1)
-        return norm * np.exp(-p.value(y) - sq / 2.0)
+    log_norm = -0.5 * dim * np.log(2.0 * np.pi)
 
     def smooth_moments(x, want_grad=False, want_hess=False):
+        """(log q_sigma(x), grad q_sigma / q_sigma, D^2 q_sigma / q_sigma)."""
         x = np.asarray(x, dtype=float)
         pts = x[..., None, :] - sigma * nodes  # (..., K, dim)
-        qv = q(pts)
-        q0 = qv @ w
+        a = logw - p.value(pts) - np.sum(pts * pts, axis=-1) / 2.0
+        m = np.max(a, axis=-1)
+        u = np.exp(a - m[..., None])  # w q(pts) / (norm e^m)
+        den = np.sum(u, axis=-1)
         g = h = None
         if want_grad:
-            g = -np.einsum("...k,kd,k->...d", qv, nodes, w) / sigma
+            g = -np.einsum("...k,kd->...d", u, nodes) / (sigma * den[..., None])
         if want_hess:
             outer = nodes[:, :, None] * nodes[:, None, :] - np.eye(dim)
-            h = np.einsum("...k,kde,k->...de", qv, outer, w) / sigma**2
-        return q0, g, h
+            h = np.einsum("...k,kde->...de", u, outer) / (sigma**2 * den[..., None, None])
+        return log_norm + m + np.log(den), g, h
 
     def raw(x):
-        q0, _, _ = smooth_moments(x)
+        log_q0, _, _ = smooth_moments(x)
         sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
-        with np.errstate(divide="ignore"):
-            return -np.log(q0) - sq / 2.0 - np.log(norm)
+        return -log_q0 - sq / 2.0 - log_norm
 
     def grad(x):
-        q0, g, _ = smooth_moments(x, want_grad=True)
-        return -g / q0[..., None] - np.asarray(x, dtype=float)
+        _, g, _ = smooth_moments(x, want_grad=True)
+        return -g - np.asarray(x, dtype=float)
 
     def hess(x):
-        q0, g, h = smooth_moments(x, want_grad=True, want_hess=True)
-        gn = g / q0[..., None]
+        _, g, h = smooth_moments(x, want_grad=True, want_hess=True)
         eye = np.eye(dim)
-        return -h / q0[..., None, None] + gn[..., :, None] * gn[..., None, :] - eye
+        return -h + g[..., :, None] * g[..., None, :] - eye
 
     return Potential(
         dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,

@@ -89,7 +89,10 @@ class SemigroupEvaluator:
         """
         a = logw[None, :] - self.potential.value(pts)
         m = np.max(a, axis=1)
-        u = np.exp(a - m[:, None])
+        with np.errstate(invalid="ignore"):
+            # a row with V = +inf at every node gives -inf - (-inf) = NaN,
+            # which the caller's floor test flags
+            u = np.exp(a - m[:, None])
         return u, m
 
     def _moments(self, xb: np.ndarray, t: float, grad: bool = False,
@@ -193,46 +196,38 @@ class SemigroupEvaluator:
         out = e * G / den[:, None]
         return out[0] if single else out
 
-    def drift_and_hess_vt(self, x: np.ndarray, t: float,
-                          hess_route: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    def drift_and_hess_vt(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(grad V_t, D^2 V_t) sharing a single quadrature pass.
 
-        D^2 V_t = -D^2 f_t / f_t + (grad f_t / f_t) (grad f_t / f_t)^T.
-        Route "auto" picks hermite (only samples V, correct for rough
-        potentials whose pointwise Hessian misses kink curvature).  At t = 0
-        no route is used: D^2 V_0 is the potential's own Hessian.
+        D^2 V_t = -D^2 f_t / f_t + (grad f_t / f_t) (grad f_t / f_t)^T, with
+        D^2 f_t from the hermite route (it only samples V, so it is correct
+        for rough potentials whose pointwise Hessian misses kink curvature).
+        At t = 0 no route is used: D^2 V_0 is the potential's own Hessian.
         """
         xb, single = _as_batch(x, self.potential.dim)
-        if hess_route == "auto":
-            hess_route = "hermite"
-        if t == 0.0:
-            hess_route = None
+        hess_route = None if t == 0.0 else "hermite"
         e, _, den, G, H = self._moments(xb, t, grad=True, hess_route=hess_route)
         grad_ratio = -e * G / den[:, None]
         if hess_route is None:
             hess_vt = self.potential.hess(xb)
         else:
-            if hess_route == "hermite":
-                hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
-            else:
-                hess_ratio = (e * e) * H / den[:, None, None]
+            hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
             hess_vt = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
         drift = -grad_ratio
         return (drift[0], hess_vt[0]) if single else (drift, hess_vt)
 
-    def log_concavity(self, x: np.ndarray, t: float, route: str = "auto") -> np.ndarray:
+    def log_concavity(self, x: np.ndarray, t: float) -> np.ndarray:
         """Largest eigenvalue of D^2 log f_t(x) = -D^2 V_t(x) pointwise."""
-        _, hess_vt = self.drift_and_hess_vt(x, t, hess_route=route)
+        _, hess_vt = self.drift_and_hess_vt(x, t)
         _, top = sym_eig_bounds(-hess_vt)
         return top
 
 
-def concavity_profile(e: SemigroupEvaluator, grid, t: float,
-                      route: str = "auto") -> float:
+def concavity_profile(e: SemigroupEvaluator, grid, t: float) -> float:
     """lam_hat(t): sup over the grid of the top eigenvalue of D^2 log f_t.
 
     f_t is -lam_hat(t)-log-concave on the grid.  `grid` may be a GridSpec
     or an (N, dim) array of points.
     """
     pts = grid.points() if hasattr(grid, "points") else np.asarray(grid, float)
-    return float(np.max(e.log_concavity(pts, t, route=route)))
+    return float(np.max(e.log_concavity(pts, t)))

@@ -40,6 +40,19 @@ def bump_evaluator(std_bump, gh_scheme):
 
 
 @pytest.fixture(scope="session")
+def walled_gaussian():
+    """V = x^2/2 on |x| <= 5 and +inf beyond: the density is exactly zero
+    past the walls, so a row whose nodes all lie there has no density."""
+    return hf.Potential(
+        dim=1,
+        raw_fn=lambda x: np.where(np.abs(x[..., 0]) <= 5.0, 0.5 * x[..., 0] ** 2, np.inf),
+        grad_fn=lambda x: np.array(x, dtype=float),
+        hess_fn=lambda x: np.ones(x.shape + (1,)),
+        name="walled_gaussian",
+    )
+
+
+@pytest.fixture(scope="session")
 def regularized_linear_tail():
     return hf.lipschitz_regularize(hf.linear_tail(), l=1.0, r=6.0)
 

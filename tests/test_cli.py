@@ -104,12 +104,24 @@ def test_profile_command(tmp_path):
     assert set(s) >= {"lambda", "c", "s", "l_tight", "l_theorem", "km_numeric"}
 
 
+def assert_one_pass_rule(rep):
+    """Every verify record passes exactly when measured <= bound + tolerance;
+    non-finite values are written as strings ('nan', 'inf')."""
+    for c in rep["checks"]:
+        measured, bound = float(c["measured"]), float(c["bound"])
+        assert c["pass"] == (measured <= bound + c["tolerance"]), c
+    assert rep["failures"] == sum(not c["pass"] for c in rep["checks"])
+
+
 def test_verify_default_passes(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["verify", "--out", str(out), "--quick"]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["pass"] is True and rep["failures"] == 0
-    assert all("measured" in c for c in rep["checks"])
+    assert_one_pass_rule(rep)
+    names = {c["name"] for c in rep["checks"]}
+    assert {"spike_family_chain[T=5]", "spike_family_tail_mass[T=5]",
+            "spike_family_density[T=5]"} <= names
 
 
 BUMP2D = {"family": "bump", "params": {"radius": 0.5, "height": 0.5, "dim": 2}}
@@ -121,6 +133,7 @@ def test_verify_2d_job_passes(tmp_path):
     assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["pass"] is True
+    assert_one_pass_rule(rep)
     assert any("drift_bound" in c["name"] for c in rep["checks"])
 
 
@@ -146,6 +159,7 @@ def test_verify_wrong_declared_curvature_fails(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 1
     rep = json.loads((out / "report.json").read_text())
+    assert_one_pass_rule(rep)
     failed = [c for c in rep["checks"] if not c["pass"]]
     assert any("curvature_budget" in c["name"] for c in failed)
 

@@ -167,10 +167,10 @@ def test_underflow_row_isolated(with_jacobian):
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
-def test_zero_density_row_isolated(with_jacobian):
-    # mollify's V is +inf near -50 (the smoothed density is exactly zero),
-    # so that row's log f_t is NaN rather than below the floor
-    fi = make_flow(hf.mollify(hf.linear_tail(), 0.5), t_max=8.0, n_steps=100, nodes=64)
+def test_zero_density_row_isolated(walled_gaussian, with_jacobian):
+    # V is +inf past |x| = 5 (the density is exactly zero there), so the
+    # row at -50 ends up with a NaN log f_t rather than one below the floor
+    fi = make_flow(walled_gaussian, t_max=8.0, n_steps=100, nodes=64)
     ys = np.array([[0.5], [-50.0], [-1.0], [2.0]])
     assert_row_isolated(fi, ys, 1, with_jacobian)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,13 +157,28 @@ def test_drift_underflow_raises(gh_scheme):
 
 
 @pytest.mark.parametrize("t", [0.0, 0.01])
-def test_zero_density_row_raises_with_its_index(gh_scheme, t):
-    # mollify's V is +inf near -50: every node has zero density, so
-    # log f_t is NaN there and must still count as below the floor
-    ev = hf.SemigroupEvaluator(hf.mollify(hf.linear_tail(), 0.5), gh_scheme)
-    with pytest.raises(DensityUnderflowError) as exc:
-        ev.drift(np.array([[0.5], [-50.0], [1.0]]), t)
+def test_zero_density_row_raises_with_its_index(walled_gaussian, gh_scheme, t):
+    # V is +inf at every node of the row at -50, so log f_t is NaN there:
+    # it must count as below the floor, and without a numpy warning first
+    ev = hf.SemigroupEvaluator(walled_gaussian, gh_scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DensityUnderflowError) as exc:
+            ev.drift(np.array([[0.5], [-50.0], [1.0]]), t)
     assert exc.value.rows == [1]
+
+
+def test_mollified_tail_drift_finite_far_out():
+    # the mollified density underflows past x ~ -43, but its log-space
+    # quadrature keeps grad V finite there, so the drift at -41 is finite
+    # and equals -d/dx log f_t
+    ev = hf.SemigroupEvaluator(hf.mollify(hf.linear_tail(), 0.5),
+                               hf.QuadratureScheme(dim=1, node_count=64))
+    x, t, h = -41.0, 0.02, 1e-4
+    drift = ev.drift(np.array([x]), t)[0]
+    fd = -(ev.log_pt_f(np.array([x + h]), t) - ev.log_pt_f(np.array([x - h]), t)) / (2 * h)
+    assert np.isfinite(drift)
+    assert drift == pytest.approx(fd, rel=1e-8)
 
 
 # -- log-concavity profiles -------------------------------------------------------------------
