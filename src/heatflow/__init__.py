@@ -24,7 +24,6 @@ from .potentials import (
     GridSpec,
     Potential,
     bump,
-    bump_with,
     caffarelli_reduction,
     from_config,
     from_family,

@@ -102,14 +102,18 @@ def _load_config(path: str | None) -> dict:
 
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     sc = cfg.get("scheme", {})
-    scheme = QuadratureScheme(
+    node_count = int(sc.get("node_count", 128))
+    sample_count = int(sc.get("sample_count", 1_000_000))
+    if quick:
+        node_count = max(8, int(node_count * QUICK_SCALE))
+        sample_count = max(1000, int(sample_count * QUICK_SCALE))
+    return QuadratureScheme(
         dim=dim,
         kind=sc.get("kind", "gauss_hermite"),
-        node_count=int(sc.get("node_count", 128)),
-        sample_count=int(sc.get("sample_count", 1_000_000)),
+        node_count=node_count,
+        sample_count=sample_count,
         seed=int(sc.get("seed", 0)),
     )
-    return scheme.scaled(QUICK_SCALE) if quick else scheme
 
 
 def _potential_dim(pcfg: dict) -> int:

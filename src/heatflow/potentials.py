@@ -316,12 +316,31 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
     )
 
 
-def bump_with(curvature: float, oscillation: float, dim: int = 1) -> Potential:
-    """Bump with prescribed (curvature_lower, oscillation) metadata."""
-    if curvature <= 0 or oscillation <= 0:
-        raise BadParamsError("bump_with needs positive curvature and oscillation")
-    radius = np.sqrt(oscillation / curvature)
-    return bump(0.0, radius, oscillation, dim)
+def _clipped_quadratic(lo: float, hi: float, center: float, k: float,
+                       offset: float, **metadata) -> Potential:
+    """Dim-1 V(x) = offset + k (clip(x, lo, hi) - center)^2 / 2.
+
+    On the open interval (lo, hi) grad V = k (x - center) and D^2 V = k;
+    outside it both are 0.  The finite ends are the kinks.
+    """
+
+    def active(t):
+        return (lo < t) & (t < hi)
+
+    def raw(x):
+        return offset + k * (np.clip(x[..., 0], lo, hi) - center) ** 2 / 2.0
+
+    def grad(x):
+        t = x[..., 0]
+        return np.where(active(t), k * (t - center), 0.0)[..., None]
+
+    def hess(x):
+        return np.where(active(x[..., 0]), k, 0.0)[..., None, None]
+
+    return Potential(
+        dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        kinks=tuple(e for e in (lo, hi) if np.isfinite(e)), **metadata,
+    )
 
 
 def linear_tail() -> Potential:
@@ -330,23 +349,10 @@ def linear_tail() -> Potential:
     V(x) = c0 for x < 1 and c0 - (x-1)^2/2 beyond; V'' >= -1, V is bounded
     above but not below, and |V'| is unbounded.
     """
-
-    def raw(x):
-        t = x[..., 0]
-        return np.where(t < 1.0, 0.0, -((t - 1.0) ** 2) / 2.0)
-
-    def grad(x):
-        t = x[..., 0]
-        return np.where(t < 1.0, 0.0, -(t - 1.0))[..., None]
-
-    def hess(x):
-        t = x[..., 0]
-        return np.where(t < 1.0, 0.0, -1.0)[..., None, None]
-
-    return Potential(
-        dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+    return _clipped_quadratic(
+        1.0, np.inf, 1.0, -1.0, 0.0,
         curvature_lower=1.0, oscillation=None, grad_sup_norm=None,
-        name="linear_tail", kinks=(1.0,),
+        name="linear_tail",
     )
 
 
@@ -359,28 +365,12 @@ def vt_counterexample(T: float) -> Potential:
     """
     if T <= 0:
         raise BadParamsError("vt_counterexample requires T > 0")
-
-    def raw(x):
-        t = x[..., 0]
-        return np.maximum(0.0, T * T / 4.0 - 64.0 * (t - T) ** 2)
-
-    def grad(x):
-        t = x[..., 0]
-        active = (T * T / 4.0 - 64.0 * (t - T) ** 2) > 0
-        return np.where(active, -128.0 * (t - T), 0.0)[..., None]
-
-    def hess(x):
-        t = x[..., 0]
-        active = (T * T / 4.0 - 64.0 * (t - T) ** 2) > 0
-        return np.where(active, -128.0, 0.0)[..., None, None]
-
-    return Potential(
-        dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+    return _clipped_quadratic(
+        15.0 * T / 16.0, 17.0 * T / 16.0, T, -128.0, T * T / 4.0,
         curvature_lower=128.0,
         oscillation=T * T / 4.0,
         grad_sup_norm=16.0 * T,  # |V'| = 128|x-T| <= 128 * T/16 on the active region
         name=f"vt_counterexample(T={T})",
-        kinks=(15.0 * T / 16.0, 17.0 * T / 16.0),
     )
 
 
@@ -393,29 +383,12 @@ def sharpness(T: float, scale: float) -> Potential:
     """
     if T <= 0 or scale <= 0:
         raise BadParamsError("sharpness requires T > 0 and scale > 0")
-    s2 = scale * scale
-
-    def raw(x):
-        t = x[..., 0]
-        return -np.minimum(T * T / 2.0, t * t / (2.0 * s2))
-
-    def grad(x):
-        t = x[..., 0]
-        active = (t * t / (2.0 * s2)) < (T * T / 2.0)
-        return np.where(active, -t / s2, 0.0)[..., None]
-
-    def hess(x):
-        t = x[..., 0]
-        active = (t * t / (2.0 * s2)) < (T * T / 2.0)
-        return np.where(active, -1.0 / s2, 0.0)[..., None, None]
-
-    return Potential(
-        dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
-        curvature_lower=1.0 / s2,
+    return _clipped_quadratic(
+        -T * scale, T * scale, 0.0, -1.0 / (scale * scale), 0.0,
+        curvature_lower=1.0 / (scale * scale),
         oscillation=T * T / 2.0,
         grad_sup_norm=T / scale,
         name=f"sharpness(T={T}, scale={scale})",
-        kinks=(-T * scale, T * scale),
     )
 
 
@@ -431,10 +404,11 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
               **metadata) -> Potential:
     """Dim-1 potential from (grid, values) with linear interpolation.
 
-    Outside the table the last interior slope is continued linearly, so a
-    Lipschitz table stays Lipschitz globally.  The Hessian of a piecewise
-    linear interpolant is zero between knots; smoothed-Hessian routes that
-    only sample V remain available at positive times.
+    Each point falls in one cell [grid[i], grid[i+1]] and takes that cell's
+    line; the end cells extend past the table, so the end slopes continue
+    and a Lipschitz table stays Lipschitz globally.  The Hessian of a
+    piecewise linear interpolant is zero between knots; smoothed-Hessian
+    routes that only sample V remain available at positive times.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -443,23 +417,20 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
     if np.any(np.diff(grid) <= 0):
         raise BadParamsError("tabulated grid must be strictly increasing")
     slopes = np.diff(values) / np.diff(grid)
-    lo_slope, hi_slope = slopes[0], slopes[-1]
+
+    def cell(t):
+        return np.clip(np.searchsorted(grid, t, side="right") - 1, 0, slopes.size - 1)
 
     def raw(x):
         t = x[..., 0]
-        inner = np.interp(t, grid, values)
-        below = values[0] + lo_slope * (t - grid[0])
-        above = values[-1] + hi_slope * (t - grid[-1])
-        return np.where(t < grid[0], below, np.where(t > grid[-1], above, inner))
+        i = cell(t)
+        return values[i] + slopes[i] * (t - grid[i])
 
     def grad(x):
-        t = x[..., 0]
-        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, slopes.size - 1)
-        return slopes[idx][..., None]
+        return slopes[cell(x[..., 0])][..., None]
 
     def hess(x):
-        t = x[..., 0]
-        return np.zeros_like(t)[..., None, None]
+        return np.zeros(x.shape[:-1] + (1, 1))
 
     return Potential(dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
                      name=name, **metadata)
@@ -472,14 +443,15 @@ def mollify(p: Potential, sigma: float,
             scheme: QuadratureScheme | None = None) -> Potential:
     """Potential of (e^{-V} dgamma) convolved with N(0, sigma^2 Id), against gamma.
 
-    The Lebesgue density q = e^{-V} phi_n is smoothed to q_sigma = q * phi_sigma
-    by quadrature over the mollifier variable; derivatives differentiate the
-    mollifier, so the output has smooth gradient and Hessian even when V has
-    kinks.  The quadrature sums are max-shifted in log space, so the value
-    and gradient stay finite wherever V is finite, far past where q itself
-    underflows.  No gradient bound is declared: the smoothed gradient can
-    grow without bound in the tails (linear_tail), so a sup over a finite
-    window would certify nothing.
+    Completing the square in the convolution, with a = 1/(1+sigma^2) and
+    tau = sigma sqrt(a): V_sigma(x) = -(dim/2) log a - tau^2 |x|^2/2
+    - log E[e^{-V(a x + tau Z)}], so the nodes sit where the Gaussian part
+    of the integrand peaks, also far out in the tails.  Derivatives
+    differentiate the kernel, so they are smooth even where V has kinks,
+    and the sums are max-shifted in log space, so they stay finite wherever
+    V is.  No gradient bound is declared: the smoothed gradient can grow
+    without bound in the tails (linear_tail), so a sup over a finite window
+    would certify nothing.
     """
     if sigma <= 0:
         raise BadParamsError("mollify requires sigma > 0")
@@ -489,37 +461,31 @@ def mollify(p: Potential, sigma: float,
     with np.errstate(divide="ignore"):
         logw = np.log(w)
     dim = p.dim
-    log_norm = -0.5 * dim * np.log(2.0 * np.pi)
+    a = 1.0 / (1.0 + sigma * sigma)
+    tau = sigma * np.sqrt(a)
+    log_a_term = -0.5 * dim * np.log(a)
+    eye = np.eye(dim)
 
-    def smooth_moments(x, want_grad=False, want_hess=False):
-        """(log q_sigma(x), grad q_sigma / q_sigma, D^2 q_sigma / q_sigma)."""
-        x = np.asarray(x, dtype=float)
-        pts = x[..., None, :] - sigma * nodes  # (..., K, dim)
-        a = logw - p.value(pts) - np.sum(pts * pts, axis=-1) / 2.0
-        m = np.max(a, axis=-1)
-        u = np.exp(a - m[..., None])  # w q(pts) / (norm e^m)
+    def moments(x):
+        """(log E[e^{-V(a x + tau Z)}], node weights u summing to 1, E_u[Z])."""
+        s = logw - p.value(a * x[..., None, :] + tau * nodes)
+        m = np.max(s, axis=-1)
+        u = np.exp(s - m[..., None])
         den = np.sum(u, axis=-1)
-        g = h = None
-        if want_grad:
-            g = -np.einsum("...k,kd->...d", u, nodes) / (sigma * den[..., None])
-        if want_hess:
-            outer = nodes[:, :, None] * nodes[:, None, :] - np.eye(dim)
-            h = np.einsum("...k,kde->...de", u, outer) / (sigma**2 * den[..., None, None])
-        return log_norm + m + np.log(den), g, h
+        u /= den[..., None]
+        return m + np.log(den), u, u @ nodes
 
     def raw(x):
-        log_q0, _, _ = smooth_moments(x)
-        sq = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
-        return -log_q0 - sq / 2.0 - log_norm
+        return log_a_term - tau * tau * np.sum(x * x, axis=-1) / 2.0 - moments(x)[0]
 
     def grad(x):
-        _, g, _ = smooth_moments(x, want_grad=True)
-        return -g - np.asarray(x, dtype=float)
+        return -tau * tau * x - (a / tau) * moments(x)[2]
 
     def hess(x):
-        _, g, h = smooth_moments(x, want_grad=True, want_hess=True)
-        eye = np.eye(dim)
-        return -h + g[..., :, None] * g[..., None, :] - eye
+        _, u, mean_z = moments(x)
+        cov_z = (np.einsum("...k,kd,ke->...de", u, nodes, nodes)
+                 - mean_z[..., :, None] * mean_z[..., None, :])
+        return -tau * tau * eye - (a / tau) ** 2 * (cov_z - eye)
 
     return Potential(
         dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
@@ -528,51 +494,51 @@ def mollify(p: Potential, sigma: float,
     )
 
 
+# knots of the envelope table: |x| <= r + EVAL_PAD, EVAL_POINTS_PER_UNIT per unit
+EVAL_PAD = 6.0
+EVAL_POINTS_PER_UNIT = 400
+
+
 def lipschitz_regularize(
     p: Potential,
     l: float,
     r: float,
     points_per_axis: int = 4096,
-    eval_pad: float = 6.0,
-    eval_points_per_unit: int = 400,
     grid_tol: float = 5e-3,
     scheme: QuadratureScheme | None = None,
 ) -> Potential:
     """l-Lipschitz envelope inf{V(y) + l |x-y| : |y| <= r}, renormalized.
 
-    The infimum ranges over y (taking it over the first argument would make
-    the envelope trivially V itself); it is evaluated over a dense y-grid
-    and the result stored as a piecewise-linear table whose chord slopes
-    are bounded by l by construction.  A doubled y-grid must agree with the
-    first pass within grid_tol, else GridTooCoarseError.
-
-    Only dim 1 is supported at desk scale; the quadratic cost of the grid
-    infimum makes dim 2 impractical at this resolution.
+    The infimum ranges over y (over the first argument the envelope would
+    be V itself): over a sorted y-grid, plus the query point itself when it
+    lies in the ball.  Over the grid it is min(min_{y<=x}(V(y) - l y) + l x,
+    min_{y>x}(V(y) + l y) - l x), one prefix and one suffix minimum (the 1-d
+    distance transform).  The result is stored as a piecewise-linear table
+    whose chord slopes are bounded by l by construction.  A doubled y-grid
+    must agree with the first pass within grid_tol, else GridTooCoarseError.
+    Only dim 1 is supported.
     """
     if l < 0 or r <= 0:
         raise BadParamsError("need l >= 0 and r > 0")
     if p.dim != 1:
         raise DimensionTooHighError("inf-convolution envelope implemented for dim 1")
 
-    span = r + eval_pad
-    n_eval = max(int(2 * span * eval_points_per_unit) + 1, 801)
-    xs = np.linspace(-span, span, n_eval)
+    span = r + EVAL_PAD
+    xs = np.linspace(-span, span, max(int(2 * span * EVAL_POINTS_PER_UNIT) + 1, 801))
+    inside = np.abs(xs) <= r
+    v_inside = p.value(xs[inside, None])
 
     def envelope(n_grid):
         ys = np.linspace(-r, r, n_grid)
         vy = p.value(ys[:, None])
-        inside = np.abs(xs) <= r
-        v_inside = p.value(xs[inside, None])
         if l == 0.0:
             # zero-slope envelope is the constant inf of V over the ball
             return np.full_like(xs, min(vy.min(), v_inside.min()))
-        out = np.empty_like(xs)
-        chunk = max(1, int(2_000_000 / n_grid))
-        for i in range(0, xs.size, chunk):
-            blk = xs[i:i + chunk]
-            out[i:i + chunk] = np.min(
-                vy[None, :] + l * np.abs(blk[:, None] - ys[None, :]), axis=1
-            )
+        pad = np.array([np.inf])
+        left = np.minimum.accumulate(np.concatenate([pad, vy - l * ys]))
+        right = np.minimum.accumulate(np.concatenate([vy + l * ys, pad])[::-1])[::-1]
+        k = np.searchsorted(ys, xs, side="right")  # ys[:k] <= x < ys[k:]
+        out = np.minimum(left[k] + l * xs, right[k] - l * xs)
         # the query point itself is an admissible candidate inside the ball,
         # so the envelope is exact wherever V is already l-Lipschitz
         out[inside] = np.minimum(out[inside], v_inside)
@@ -644,12 +610,12 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
 # -- JSON configuration -----------------------------------------------------
 
 _FAMILIES = {
-    "gaussian": lambda params: gaussian(**params),
-    "constant": lambda params: constant(**params),
-    "bump": lambda params: bump(**params),
-    "linear_tail": lambda params: linear_tail(**params),
-    "vt_counterexample": lambda params: vt_counterexample(**params),
-    "sharpness": lambda params: sharpness(**params),
+    "gaussian": gaussian,
+    "constant": constant,
+    "bump": bump,
+    "linear_tail": linear_tail,
+    "vt_counterexample": vt_counterexample,
+    "sharpness": sharpness,
 }
 
 
@@ -657,7 +623,7 @@ def from_family(tag: str, params: dict | None = None) -> Potential:
     if tag not in _FAMILIES:
         raise BadParamsError(f"unknown potential family {tag!r}")
     try:
-        return _FAMILIES[tag](dict(params or {}))
+        return _FAMILIES[tag](**(params or {}))
     except TypeError as exc:
         raise BadParamsError(f"bad parameters for family {tag!r}: {exc}") from exc
 

@@ -85,15 +85,6 @@ class QuadratureScheme:
         weights = np.full(2 * m, 1.0 / (2 * m))
         return nodes, weights
 
-    def scaled(self, factor: float) -> "QuadratureScheme":
-        """Scheme with node/sample counts scaled (used by the CLI --quick mode)."""
-        return QuadratureScheme(
-            self.dim, self.kind,
-            max(8, int(self.node_count * factor)),
-            max(1000, int(self.sample_count * factor)),
-            self.seed,
-        )
-
 
 @dataclass
 class AdaptiveResult:

@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatflow import cli
+
+
+EXAMPLE_CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.json")
+)
 
 
 def write_cfg(path, payload):
@@ -246,3 +252,15 @@ def test_numeric_failure_exit_code(tmp_path):
         "samples": 10,
     })
     assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("cfg", EXAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
+    command = json.loads(cfg.read_text())["command"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), "--quick"]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names and names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -13,7 +13,13 @@ from heatflow.errors import (
     LambdaTooLargeError,
     NonIntegrableError,
 )
-from heatflow.potentials import Potential, sym_eig_bounds
+from heatflow.potentials import (
+    EVAL_PAD,
+    EVAL_POINTS_PER_UNIT,
+    Potential,
+    log_mass,
+    sym_eig_bounds,
+)
 
 
 def quad_mass(p, lo=-40.0, hi=60.0):
@@ -174,12 +180,6 @@ def test_sharpness_critical_scale_saturates_domain():
     assert p.curvature_lower * (1 - np.exp(-2 * t)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bump_with_prescribed_metadata():
-    p = hf.bump_with(2.0, 0.5)
-    assert p.curvature_lower == pytest.approx(2.0)
-    assert p.oscillation == pytest.approx(0.5)
-
-
 # -- mollify -----------------------------------------------------------------------
 
 
@@ -203,6 +203,23 @@ def test_mollify_gaussian_closed_form():
     got = sm.value(xs) - sm.value(np.zeros((1, 1)))
     want = rho_out * xs[:, 0] ** 2 / 2.0
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_mollify_far_tail_closed_form():
+    # the nodes a x + tau Z (a = 1/(1+sigma^2)) all lie where linear_tail is 0
+    # for x <= -41, so V_sigma = C - sigma^2 |x|^2 / (2 (1 + sigma^2)) there
+    sm = hf.mollify(hf.linear_tail(), 0.5)
+    xs = np.array([[-100.0], [-41.0]])
+    v = sm.value(xs)
+    assert v[0] - v[1] == pytest.approx(-831.9, abs=1e-9)
+    assert sm.grad(xs)[:, 0] == pytest.approx([20.0, 8.2], abs=1e-9)
+    assert sm.hess(xs)[:, 0, 0] == pytest.approx([-0.2, -0.2], abs=1e-9)
+
+
+def test_mollify_preserves_mass(std_bump):
+    # convolution preserves mass, so a normalized potential stays normalized
+    lm, _ = log_mass(hf.mollify(std_bump, 0.4), hf.QuadratureScheme(dim=1))
+    assert abs(lm) < 1e-10
 
 
 def test_mollify_declares_no_grad_bound(tmp_path):
@@ -263,6 +280,34 @@ def test_envelope_slopes_bounded(regularized_linear_tail):
     assert slopes.max() <= 1.0 * (1 + 1e-3)
 
 
+def brute_envelope(p, l, r, xs, n_grid, rows=512):
+    """min over the y-grid of V(y) + l |x - y| by the full (x, y) table, and
+    over the query point itself inside the ball."""
+    ys = np.linspace(-r, r, n_grid)
+    vy = p.value(ys[:, None])
+    out = np.concatenate([
+        np.min(vy[None, :] + l * np.abs(blk[:, None] - ys[None, :]), axis=1)
+        for blk in np.array_split(xs, -(-xs.size // rows))
+    ])
+    inside = np.abs(xs) <= r
+    out[inside] = np.minimum(out[inside], p.value(xs[inside, None]))
+    return out
+
+
+@pytest.mark.parametrize("p, l, r", [
+    (hf.linear_tail(), 1.0, 6.0),
+    (hf.bump(0.0, 0.5, 0.5), 2.0, 8.0),
+    (Potential(dim=1, raw_fn=lambda x: x[..., 0] ** 2, name="square"), 2.0, 10.0),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_envelope_sweeps_match_brute_force(p, l, r):
+    span = r + EVAL_PAD
+    xs = np.linspace(-span, span, max(int(2 * span * EVAL_POINTS_PER_UNIT) + 1, 801))
+    for n_fine in (4096, 8192):
+        reg = hf.lipschitz_regularize(p, l, r, points_per_axis=n_fine // 2)
+        table = reg.raw_fn(xs[:, None])  # the stored knots, before the shift
+        assert np.max(np.abs(table - brute_envelope(p, l, r, xs, n_fine))) <= 1e-12
+
+
 def test_envelope_grid_refinement_guard():
     p = Potential(dim=1, raw_fn=lambda x: np.cos(40.0 * x[..., 0]) * 8.0)
     with pytest.raises(GridTooCoarseError):
@@ -312,13 +357,23 @@ def test_caffarelli_output_log_concave(gaussian_half):
 
 
 def test_tabulated_interpolation_and_continuation():
-    grid = np.linspace(-2, 2, 401)
-    p = hf.tabulated(grid, grid**2)
-    assert p.value(np.array([[1.0]]))[0] == pytest.approx(1.0)
-    # linear continuation with the edge slope outside the table
-    v3 = p.value(np.array([[3.0]]))[0]
-    slope = (grid[-1] ** 2 - grid[-2] ** 2) / (grid[-1] - grid[-2])
-    assert v3 == pytest.approx(4.0 + slope * 1.0, rel=1e-12)
+    # one cell rule: np.interp inside the table, bit for bit
+    rng = np.random.default_rng(2)
+    grid = np.sort(rng.uniform(-2.0, 3.0, 300))
+    values = np.sin(3.0 * grid) + grid**2
+    p = hf.tabulated(grid, values)
+    slopes = np.diff(values) / np.diff(grid)
+    inner = np.concatenate([grid[:-1], rng.uniform(grid[0], grid[-1], 5000)])
+    assert np.array_equal(p.value(inner[:, None]), np.interp(inner, grid, values))
+    # beyond both ends the end cells continue their slopes
+    below = grid[0] - np.array([1e-9, 0.5, 40.0])
+    above = grid[-1] + np.array([0.0, 1e-9, 0.5, 40.0])
+    assert np.allclose(p.value(below[:, None]), values[0] + slopes[0] * (below - grid[0]),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(p.value(above[:, None]), values[-1] + slopes[-1] * (above - grid[-1]),
+                       rtol=1e-12, atol=1e-12)
+    assert np.all(p.grad(below[:, None])[:, 0] == slopes[0])
+    assert np.all(p.grad(above[:, None])[:, 0] == slopes[-1])
 
 
 def test_from_config_family_and_overrides():
