@@ -75,6 +75,9 @@ class Potential:
     raw_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # optional fused (raw, grad) for potentials that share work between
+    # the two; must agree bit for bit with (raw_fn, grad_fn)
+    value_grad_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     shift: float = 0.0
     curvature_lower: Optional[float] = 0.0
     oscillation: Optional[float] = None
@@ -108,6 +111,14 @@ class Potential:
         if self.grad_fn is not None:
             return self.grad_fn(x)
         return self._fd_grad(x)
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(value(x), grad(x)) from one call where the potential fuses them."""
+        x = np.asarray(x, dtype=float)
+        if self.value_grad_fn is None:
+            return self.value(x), self.grad(x)
+        raw, g = self.value_grad_fn(x)
+        return raw + self.shift, g
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -292,9 +303,12 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
         return height * np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
 
     def grad(x):
+        return value_grad(x)[1]
+
+    def value_grad(x):
         d = x - c
         prof = np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
-        return -(height / r2) * prof[..., None] * d
+        return height * prof, -(height / r2) * prof[..., None] * d
 
     def hess(x):
         d = x - c
@@ -308,7 +322,7 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
     else:
         lam = _BUMP_MAX_D2 * (-height) / r2
     return Potential(
-        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess, value_grad_fn=value_grad,
         curvature_lower=lam,
         oscillation=abs(height),
         grad_sup_norm=_BUMP_MAX_D1 * abs(height) / radius,
@@ -421,10 +435,14 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
     def cell(t):
         return np.clip(np.searchsorted(grid, t, side="right") - 1, 0, slopes.size - 1)
 
-    def raw(x):
+    def value_grad(x):
         t = x[..., 0]
         i = cell(t)
-        return values[i] + slopes[i] * (t - grid[i])
+        slope = slopes[i]
+        return values[i] + slope * (t - grid[i]), slope[..., None]
+
+    def raw(x):
+        return value_grad(x)[0]
 
     def grad(x):
         return slopes[cell(x[..., 0])][..., None]
@@ -433,7 +451,7 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
         return np.zeros(x.shape[:-1] + (1, 1))
 
     return Potential(dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
-                     name=name, **metadata)
+                     value_grad_fn=value_grad, name=name, **metadata)
 
 
 # -- regularization ---------------------------------------------------------
@@ -475,11 +493,16 @@ def mollify(p: Potential, sigma: float,
         u /= den[..., None]
         return m + np.log(den), u, u @ nodes
 
+    def value_grad(x):
+        log_e, _, mean_z = moments(x)
+        return (log_a_term - tau * tau * np.sum(x * x, axis=-1) / 2.0 - log_e,
+                -tau * tau * x - (a / tau) * mean_z)
+
     def raw(x):
-        return log_a_term - tau * tau * np.sum(x * x, axis=-1) / 2.0 - moments(x)[0]
+        return value_grad(x)[0]
 
     def grad(x):
-        return -tau * tau * x - (a / tau) * moments(x)[2]
+        return value_grad(x)[1]
 
     def hess(x):
         _, u, mean_z = moments(x)
@@ -488,7 +511,7 @@ def mollify(p: Potential, sigma: float,
         return -tau * tau * eye - (a / tau) ** 2 * (cov_z - eye)
 
     return Potential(
-        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess, value_grad_fn=value_grad,
         curvature_lower=None, oscillation=None, grad_sup_norm=None,
         name=f"mollify({p.name}, sigma={sigma})",
     )

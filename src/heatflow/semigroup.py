@@ -23,6 +23,11 @@ from .potentials import Potential, sym_eig_bounds
 from .quadrature import QuadratureScheme
 
 LOG_FLOOR_DEFAULT = 1e-300
+# target size of the per-node arrays of one block of rows in the shared-node
+# pass: bounded temporaries are reused by the allocator across passes, where
+# whole-batch (N, K, dim) arrays are returned to the OS and page-faulted in
+# again on every stage
+BLOCK_BYTES = 2**19
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -75,19 +80,19 @@ class SemigroupEvaluator:
         nodes, w = self.scheme.nodes_weights()
         with np.errstate(divide="ignore"):
             logw = np.log(w)
+        outer = nodes[:, :, None] * nodes[:, None, :] - np.eye(self.potential.dim)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_logw", logw)
+        object.__setattr__(self, "_outer", outer)
 
     # -- the shared-node pass ---------------------------------------------
 
-    def _relative_density(self, pts: np.ndarray,
+    @staticmethod
+    def _relative_density(v: np.ndarray,
                           logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, m): u = w * f(pts) / e^m rowwise, m the rowwise log maximum.
-
-        A helper of its own so the (N, K) log-weight temporary is freed
-        before the pass allocates the potential's gradient at the nodes.
-        """
-        a = logw[None, :] - self.potential.value(pts)
+        """(u, m) from V at the nodes: u = w e^{-V} / e^m rowwise, m the
+        rowwise log maximum of w e^{-V}."""
+        a = logw[None, :] - v
         m = np.max(a, axis=1)
         with np.errstate(invalid="ignore"):
             # a row with V = +inf at every node gives -inf - (-inf) = NaN,
@@ -105,8 +110,11 @@ class SemigroupEvaluator:
         D^2 V) on the commute route (None without a route).  At t = 0 the
         point x is its own single node with unit weight, so every sum is V
         and its derivatives evaluated exactly at x.  Raises
-        DensityUnderflowError, naming the rows, when f_t is at or below
-        the floor or undefined for any row.
+        DensityUnderflowError, naming every offending row, when f_t is at
+        or below the floor or undefined for any row.
+
+        Rows go through in blocks sized so every (rows, K, .) temporary
+        stays near BLOCK_BYTES; each row's sums do not depend on the block.
         """
         if hess_route not in (None, "commute", "hermite"):
             raise ValueError(f"unknown hessian route {hess_route!r}")
@@ -115,34 +123,43 @@ class SemigroupEvaluator:
         if t < 0:
             raise ValueError("time must be nonnegative")
         if t == 0.0:
-            e, pts, logw = 1.0, xb[:, None, :], np.zeros(1)
+            e, s, nodes, logw = 1.0, 0.0, None, np.zeros(1)
         else:
             e = float(np.exp(-t))
             s = float(np.sqrt(-np.expm1(-2.0 * t)))
-            pts = e * xb[:, None, :] + s * self._nodes[None, :, :]
-            logw = self._logw
-        u, m = self._relative_density(pts, logw)
-        den = np.sum(u, axis=1)
+            nodes, logw = self._nodes, self._logw
+        n, dim = xb.shape
+        with_grad = grad or hess_route == "commute"
+        m, den = np.empty(n), np.empty(n)
+        G = np.empty((n, dim)) if grad else None
+        H = None if hess_route is None else np.empty((n, dim, dim))
+        step = max(1, BLOCK_BYTES // (8 * logw.size * (2 * dim + 3)))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            if nodes is None:
+                pts = xb[rows, None, :]
+            else:
+                pts = e * xb[rows, None, :] + s * nodes[None, :, :]
+            if with_grad:
+                v, gv = self.potential.value_and_grad(pts)
+            else:
+                v = self.potential.value(pts)
+            u, m[rows] = self._relative_density(v, logw)
+            den[rows] = np.sum(u, axis=1)
+            if grad:
+                G[rows] = np.einsum("nk,nkd->nd", u, gv)
+            if hess_route == "hermite":
+                H[rows] = np.einsum("nk,kde->nde", u, self._outer)
+            elif hess_route == "commute":
+                hv = self.potential.hess(pts)
+                d2f = gv[..., :, None] * gv[..., None, :] - hv
+                H[rows] = np.einsum("nk,nkde->nde", u, d2f)
         # NaN-safe: a row with zero density at every node has log f_t = NaN
         low = ~(m + np.log(den) > np.log(self.floor))
         if np.any(low):
             raise DensityUnderflowError(
                 "smoothed density at or below floor; quadrature range too "
                 "small for the queried tail", rows=np.flatnonzero(low))
-        G = H = None
-        if grad or hess_route == "commute":
-            gv = self.potential.grad(pts)
-            if grad:
-                G = np.einsum("nk,nkd->nd", u, gv)
-        if hess_route == "hermite":
-            dim = self.potential.dim
-            outer = (self._nodes[:, :, None] * self._nodes[:, None, :]
-                     - np.eye(dim)[None, :, :])
-            H = np.einsum("nk,kde->nde", u, outer)
-        elif hess_route == "commute":
-            hv = self.potential.hess(pts)
-            d2f = gv[..., :, None] * gv[..., None, :] - hv
-            H = np.einsum("nk,nkde->nde", u, d2f)
         return e, m, den, G, H
 
     # -- public surface: views over the pass ----------------------------------
