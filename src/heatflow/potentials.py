@@ -35,6 +35,8 @@ from .quadrature import (
 )
 
 FD_STEP = 1e-4
+# Newton steps that centre mollify's nodes on the mode of its integrand
+MOLLIFY_NEWTON_STEPS = 4
 
 # Gaussian bump profile psi(u) = exp(-u^2/2): shape constants used for
 # declared metadata.  min psi'' = -1 at u = 0; max psi'' = 2 e^{-3/2} at
@@ -463,13 +465,17 @@ def mollify(p: Potential, sigma: float,
 
     Completing the square in the convolution, with a = 1/(1+sigma^2) and
     tau = sigma sqrt(a): V_sigma(x) = -(dim/2) log a - tau^2 |x|^2/2
-    - log E[e^{-V(a x + tau Z)}], so the nodes sit where the Gaussian part
-    of the integrand peaks, also far out in the tails.  Derivatives
-    differentiate the kernel, so they are smooth even where V has kinks,
-    and the sums are max-shifted in log space, so they stay finite wherever
-    V is.  No gradient bound is declared: the smoothed gradient can grow
-    without bound in the tails (linear_tail), so a sup over a finite window
-    would certify nothing.
+    - log E[e^{-V(a x + tau Z)}].  The nodes are then centred at the mode c
+    of the whole integrand, the minimizer of |c|^2/2 + V(a x + tau c), found
+    by MOLLIFY_NEWTON_STEPS Newton steps from c = 0 whose curvature is
+    floored at the Gaussian's own (adaptive Gauss-Hermite quadrature, Liu &
+    Pierce 1994): E[g(Z)] = E[g(Z + c) e^{-c.Z - |c|^2/2}].  So the nodes
+    follow the peak also where V itself grows quadratically, far out in the
+    tails.  Derivatives differentiate the kernel, so they are smooth even
+    where V has kinks, and the sums are max-shifted in log space, so they
+    stay finite wherever V is.  No gradient bound is declared: the smoothed
+    gradient can grow without bound in the tails (linear_tail), so a sup
+    over a finite window would certify nothing.
     """
     if sigma <= 0:
         raise BadParamsError("mollify requires sigma > 0")
@@ -484,19 +490,38 @@ def mollify(p: Potential, sigma: float,
     log_a_term = -0.5 * dim * np.log(a)
     eye = np.eye(dim)
 
+    def centre(ax):
+        """Mode of c -> |c|^2/2 + V(ax + tau c); a step that is not finite
+        leaves c where it was."""
+        c = np.zeros_like(ax)
+        for _ in range(MOLLIFY_NEWTON_STEPS):
+            y = ax + tau * c
+            g = c + tau * p.grad(y)
+            h = eye + tau * tau * p.hess(y)
+            # where V is concave the step is damped to the Gaussian curvature
+            lo, _ = sym_eig_bounds(h)
+            h = h + np.maximum(1.0 - lo, 0.0)[..., None, None] * eye
+            c_next = c - np.linalg.solve(h, g[..., None])[..., 0]
+            c = np.where(np.isfinite(c_next), c_next, c)
+        return c
+
     def moments(x):
-        """(log E[e^{-V(a x + tau Z)}], node weights u summing to 1, E_u[Z])."""
-        s = logw - p.value(a * x[..., None, :] + tau * nodes)
+        """(log E[e^{-V(a x + tau Z)}], weights u of the centred nodes
+        summing to 1, E_u[node], centre c); E_u[Z] = E_u[node] + c."""
+        ax = a * x
+        c = centre(ax)
+        s = (logw - p.value(ax[..., None, :] + tau * (c[..., None, :] + nodes))
+             - c @ nodes.T - 0.5 * np.sum(c * c, axis=-1)[..., None])
         m = np.max(s, axis=-1)
         u = np.exp(s - m[..., None])
         den = np.sum(u, axis=-1)
         u /= den[..., None]
-        return m + np.log(den), u, u @ nodes
+        return m + np.log(den), u, u @ nodes, c
 
     def value_grad(x):
-        log_e, _, mean_z = moments(x)
+        log_e, _, mean_node, c = moments(x)
         return (log_a_term - tau * tau * np.sum(x * x, axis=-1) / 2.0 - log_e,
-                -tau * tau * x - (a / tau) * mean_z)
+                -tau * tau * x - (a / tau) * (mean_node + c))
 
     def raw(x):
         return value_grad(x)[0]
@@ -505,9 +530,9 @@ def mollify(p: Potential, sigma: float,
         return value_grad(x)[1]
 
     def hess(x):
-        _, u, mean_z = moments(x)
+        _, u, mean_node, _ = moments(x)
         cov_z = (np.einsum("...k,kd,ke->...de", u, nodes, nodes)
-                 - mean_z[..., :, None] * mean_z[..., None, :])
+                 - mean_node[..., :, None] * mean_node[..., None, :])
         return -tau * tau * eye - (a / tau) ** 2 * (cov_z - eye)
 
     return Potential(

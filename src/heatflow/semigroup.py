@@ -6,7 +6,9 @@ private pass computes them all; the public methods are views that apply
 their final scaling, and ratios such as the drift grad(-log f_t) benefit
 from correlated error cancellation.  Weighted sums over the density are
 max-shifted in log space, so potentials unbounded below (quadratic tails
-of the wrong sign) do not overflow.
+of the wrong sign) do not overflow.  The pass runs over bounded blocks of
+rows and makes one potential call per block, value and gradient together
+(Potential.value_and_grad) when it needs the gradient.
 
 Batched evaluation: x may be a single point of shape (dim,) or a batch
 (N, dim); outputs follow suit.
@@ -92,13 +94,13 @@ class SemigroupEvaluator:
                           logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, m) from V at the nodes: u = w e^{-V} / e^m rowwise, m the
         rowwise log maximum of w e^{-V}."""
-        a = logw[None, :] - v
-        m = np.max(a, axis=1)
+        u = logw[None, :] - v
+        m = np.max(u, axis=1)
         with np.errstate(invalid="ignore"):
             # a row with V = +inf at every node gives -inf - (-inf) = NaN,
             # which the caller's floor test flags
-            u = np.exp(a - m[:, None])
-        return u, m
+            u -= m[:, None]
+        return np.exp(u, out=u), m
 
     def _moments(self, xb: np.ndarray, t: float, grad: bool = False,
                  hess_route: str | None = None):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -264,3 +267,36 @@ def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
     assert names and names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+FAULT_PROBE = """
+import resource, sys
+from heatflow import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(["transport", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_transport_job_page_faults_bounded(tmp_path):
+    # the shared-node pass works in bounded row blocks, so a transport job
+    # reuses its temporaries instead of faulting fresh pages in on every
+    # stage (about 565k minor faults for this job with whole-batch arrays)
+    pytest.importorskip("resource")
+    cfg = write_cfg(tmp_path / "job.json", {
+        "command": "transport",
+        "potential": {"family": "bump", "params": {"radius": 0.5, "height": 0.5}},
+        "scheme": {"node_count": 64},
+        "flow": {"t_max": 10.0, "n_steps": 40},
+        "samples": 4096,
+        "seed": 1,
+        "with_jacobian": True,
+    })
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE, cfg, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=600, check=True)
+    code, faults = map(int, run.stdout.split())
+    assert code == 0
+    assert faults < 50_000

@@ -1,9 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import heatflow as hf
+from heatflow import semigroup
 from heatflow.diagnostics import empirical_lipschitz, ks_distance, rearrangement_map
-from heatflow.flow import StepperConfig
+from heatflow.flow import T_HESS_FLOOR, StepperConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def make_flow(p, t_max=8.0, n_steps=300, nodes=128):
@@ -66,6 +72,97 @@ def test_certified_error_bound_for_bounded_family(std_bump):
     assert res.certified
     assert res.error_bound == pytest.approx(
         np.exp(-10.0) * std_bump.grad_sup_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("t0,t1,n", [(0.0, 3.0, 7), (0.5, 12.0, 300), (0.0, 12.0, 600)])
+def test_forward_grid_hits_both_ends_and_is_monotone(flow_const, t0, t1, n):
+    fi = make_flow(flow_const.evaluator.potential, n_steps=n, nodes=8)
+    rec = fi.forward_flow(np.array([0.4]), t0, t1)
+    assert rec.times.size == n + 1
+    assert rec.times[0] == t0 and rec.times[-1] == t1
+    assert np.all(np.diff(rec.times) > 0)
+
+
+@pytest.mark.parametrize("t_max,n", [(8.0, 7), (10.0, 200), (12.0, 600)])
+def test_transport_grid_hits_both_ends_and_is_monotone(monkeypatch, std_bump, t_max, n):
+    fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
+    grid = fi._grid(fi.t_max, 0.0)
+    assert grid.size == n + 1 and grid[0] == t_max and grid[-1] == 0.0
+    assert np.all(np.diff(grid) < 0)
+    # every stage of transport_batch is a grid time or a midpoint, and the
+    # last one lands on t = 0 exactly
+    times = []
+    inner = hf.SemigroupEvaluator.drift_and_hess_vt
+
+    def recording(self, x, t):
+        times.append(t)
+        return inner(self, x, t)
+
+    monkeypatch.setattr(hf.SemigroupEvaluator, "drift_and_hess_vt", recording)
+    fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
+    assert times[0] == t_max and times[-1] == 0.0
+    assert times[1] == 0.5 * (grid[0] + grid[1])
+
+
+def test_gaussian_map_error_fourth_order_on_graded_grid(gaussian_one):
+    # the inverse transport of gaussian(1) is y / sqrt(1 + (1 - e^{-2 t_max}))
+    ys = np.linspace(-2.5, 2.5, 41)
+    want = ys / np.sqrt(2.0 - np.exp(-24.0))
+    errs = []
+    for n in (20, 40, 80):
+        fi = make_flow(gaussian_one, t_max=12.0, n_steps=n, nodes=64)
+        z, _, failed = fi.transport_batch(ys[:, None])
+        assert not failed.any()
+        errs.append(np.max(np.abs(z[:, 0] - want)))
+    assert errs[0] / errs[1] >= 10.0 and errs[1] / errs[2] >= 10.0
+
+
+def count_passes(monkeypatch):
+    calls = {"drift": 0, "drift_and_hess_vt": 0}
+    for name in calls:
+        inner = getattr(hf.SemigroupEvaluator, name)
+
+        def counting(self, *args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(hf.SemigroupEvaluator, name, counting)
+    return calls
+
+
+def _jacobian_runs():
+    # (t_max, n_steps) of every shipped transport config with the Jacobian
+    # on, plus the acceptance gate's Jacobian run (criterion 11)
+    runs = {"criterion_11": (8.0, 100)}
+    for path in sorted(CONFIGS.glob("transport_*.json")):
+        cfg = json.loads(path.read_text())
+        if cfg.get("with_jacobian", True):
+            runs[path.stem] = (cfg["flow"]["t_max"], cfg["flow"]["n_steps"])
+    return runs
+
+
+@pytest.mark.parametrize("run", sorted(_jacobian_runs()))
+def test_jacobian_run_makes_one_pass_per_stage(monkeypatch, std_bump, run):
+    # the first stage midpoint stays above T_HESS_FLOOR, so every stage is
+    # a single drift_and_hess_vt pass
+    t_max, n = _jacobian_runs()[run]
+    fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
+    calls = count_passes(monkeypatch)
+    fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
+    assert calls == {"drift": 0, "drift_and_hess_vt": 4 * n}
+
+
+def test_hess_floor_splits_first_stage_past_threshold(monkeypatch, std_bump):
+    # the last step runs from expm1(du) to 0, du = log1p(t_max) / n; once its
+    # midpoint falls below T_HESS_FLOOR its two midpoint stages make a drift
+    # pass at t plus a Hessian pass at the floor
+    t_max = 12.0
+    n_split = int(np.floor(np.log1p(t_max) / np.log1p(2.0 * T_HESS_FLOOR))) + 1
+    for n, extra in ((n_split - 1, 0), (n_split, 2)):
+        fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
+        calls = count_passes(monkeypatch)
+        fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
+        assert calls == {"drift": extra, "drift_and_hess_vt": 4 * n}
 
 
 # -- structural invariants ------------------------------------------------------------
@@ -195,6 +292,22 @@ def test_underflow_row_reruns_survivors_once(monkeypatch):
     _, _, failed = fi.transport_batch(ys, with_jacobian=True)
     assert np.flatnonzero(failed).tolist() == [17]
     assert len(passes) <= 2 * clean
+
+
+def test_underflow_rows_in_two_blocks_rerun_once(monkeypatch):
+    # rows 5 and 50 fall in different blocks of the shared-node pass; one
+    # error names both, so the survivors are rerun as a single batch
+    monkeypatch.setattr(semigroup, "BLOCK_BYTES", 8 * 64 * 5 * 8)  # 8 rows
+    fi = make_flow(hf.normalize(hf.gaussian(3.0)), t_max=8.0, n_steps=100, nodes=64)
+    ys = np.random.default_rng(1).standard_normal((64, 1))
+    clean, _, _ = fi.transport_batch(ys, with_jacobian=True)
+    ys[5, 0], ys[50, 0] = 80.0, -80.0
+    calls = count_passes(monkeypatch)
+    z, _, failed = fi.transport_batch(ys, with_jacobian=True)
+    assert np.flatnonzero(failed).tolist() == [5, 50]
+    keep = ~failed
+    assert np.array_equal(z[keep], clean[keep])
+    assert 4 * 100 < calls["drift_and_hess_vt"] <= 2 * 4 * 100
 
 
 def test_pushforward_identity_for_constant(flow_const):

@@ -216,6 +216,21 @@ def test_mollify_far_tail_closed_form():
     assert sm.hess(xs)[:, 0, 0] == pytest.approx([-0.2, -0.2], abs=1e-9)
 
 
+@pytest.mark.parametrize("rho", [1.0, 3.0])
+def test_mollify_quadratic_base_far_tail_closed_form(rho):
+    # N(0, s^2) convolved with N(0, sigma^2), s^2 = 1/(1+rho): V grows
+    # quadratically, so the integrand peaks well inside a x, and only nodes
+    # centred on that peak keep the far tail right
+    sigma = 0.5
+    var = 1.0 / (1.0 + rho) + sigma**2
+    sm = hf.mollify(hf.gaussian(rho), sigma)
+    xs = np.array([[0.0], [-10.0], [-41.0], [-100.0]])
+    want = (0.5 * np.log((1.0 + rho) * var) + (1.0 / var - 1.0) * xs[:, 0] ** 2 / 2.0)
+    assert np.allclose(sm.value(xs), want, rtol=1e-13, atol=1e-12)
+    assert np.allclose(sm.grad(xs)[:, 0], (1.0 / var - 1.0) * xs[:, 0], rtol=1e-13, atol=1e-12)
+    assert np.allclose(sm.hess(xs)[:, 0, 0], 1.0 / var - 1.0, rtol=1e-11, atol=1e-12)
+
+
 def test_mollify_preserves_mass(std_bump):
     # convolution preserves mass, so a normalized potential stays normalized
     lm, _ = log_mass(hf.mollify(std_bump, 0.4), hf.QuadratureScheme(dim=1))
@@ -374,6 +389,36 @@ def test_tabulated_interpolation_and_continuation():
                        rtol=1e-12, atol=1e-12)
     assert np.all(p.grad(below[:, None])[:, 0] == slopes[0])
     assert np.all(p.grad(above[:, None])[:, 0] == slopes[-1])
+
+
+def _fused_cases():
+    grid = np.linspace(-2.0, 3.0, 41)
+    table = hf.tabulated(grid, np.sin(3.0 * grid) + grid**2)
+    inside = np.linspace(-1.9, 2.9, 5 * 7).reshape(5, 7, 1)
+    beyond = np.array([-40.0, -2.5, -2.0, 3.0, 3.5, 60.0]).reshape(2, 3, 1)
+    pts = np.random.default_rng(4).normal(0.0, 2.0, (5, 7, 1))
+    raw_only = Potential(dim=1, raw_fn=lambda x: np.cos(x[..., 0]) + x[..., 0] ** 2)
+    return [
+        ("bump", hf.bump(0.3, 0.5, 0.5), pts),
+        ("bump_2d", hf.bump([0.3, -0.2], 0.7, -0.4, dim=2),
+         np.random.default_rng(5).normal(0.0, 1.5, (5, 7, 2))),
+        ("normalized_bump", hf.normalize(hf.bump(0.0, 0.5, 0.5)), pts),
+        ("tabulated_inside", table, inside),
+        ("tabulated_beyond", table, beyond),
+        ("normalized_tabulated", hf.normalize(table), inside),
+        ("mollify", hf.mollify(hf.linear_tail(), 0.5), 10.0 * pts),
+        ("fallback_gaussian", hf.normalize(hf.gaussian(1.0)), pts),
+        ("fallback_raw_only", raw_only, pts),
+    ]
+
+
+@pytest.mark.parametrize("name,p,x", _fused_cases(), ids=[c[0] for c in _fused_cases()])
+def test_value_and_grad_bit_equal_to_separate_calls(name, p, x):
+    assert (p.value_grad_fn is None) == name.startswith("fallback")
+    v, g = p.value_and_grad(x)
+    assert v.shape == x.shape[:-1] and g.shape == x.shape
+    assert np.array_equal(v, p.value(x))
+    assert np.array_equal(g, p.grad(x))
 
 
 def test_from_config_family_and_overrides():

@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import heatflow as hf
+from heatflow import semigroup
 from heatflow.errors import DensityUnderflowError, HermiteAtTimeZeroError
 from heatflow.semigroup import concavity_profile, ou_expectation
 
@@ -166,6 +168,48 @@ def test_zero_density_row_raises_with_its_index(walled_gaussian, gh_scheme, t):
         with pytest.raises(DensityUnderflowError) as exc:
             ev.drift(np.array([[0.5], [-50.0], [1.0]]), t)
     assert exc.value.rows == [1]
+
+
+def counted(p):
+    """p with a counter of its fused value-and-gradient calls."""
+    calls = []
+
+    def value_grad(x):
+        calls.append(x.shape[0])
+        return p.value_grad_fn(x)
+
+    return dataclasses.replace(p, value_grad_fn=value_grad), calls
+
+
+def test_blocked_pass_matches_row_by_row(std_bump):
+    p, calls = counted(std_bump)
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=128))
+    xs = np.linspace(-4.0, 4.0, 320)[:, None]
+    for t in (0.0, 0.05, 1.3):
+        calls.clear()
+        drift, hess = ev.drift_and_hess_vt(xs, t)
+        # at t = 0 each row is its own single node, so one block holds all
+        assert len(calls) >= (3 if t > 0 else 1)
+        log_f = ev.log_pt_f(xs, t)
+        grad_f = ev.grad_pt_f(xs, t)
+        hess_f = ev.hess_pt_f(xs, t, route="commute")
+        for i in range(xs.shape[0]):
+            row = xs[i:i + 1]
+            d1, h1 = ev.drift_and_hess_vt(row, t)
+            assert np.array_equal(d1, drift[i:i + 1]) and np.array_equal(h1, hess[i:i + 1])
+            assert np.array_equal(ev.log_pt_f(row, t), log_f[i:i + 1])
+            assert np.array_equal(ev.grad_pt_f(row, t), grad_f[i:i + 1])
+            assert np.array_equal(ev.hess_pt_f(row, t, route="commute"), hess_f[i:i + 1])
+
+
+def test_underflow_rows_in_different_blocks_named_by_one_error(monkeypatch, gh_scheme):
+    monkeypatch.setattr(semigroup, "BLOCK_BYTES", 8 * 128 * 5 * 4)  # 4 rows
+    ev = hf.SemigroupEvaluator(hf.normalize(hf.gaussian(3.0)), gh_scheme)
+    xs = np.zeros((12, 1))
+    xs[2, 0], xs[9, 0] = 40.0, -40.0
+    with pytest.raises(DensityUnderflowError) as exc:
+        ev.drift(xs, 0.001)
+    assert exc.value.rows == [2, 9]
 
 
 def test_mollified_tail_drift_finite_far_out():
