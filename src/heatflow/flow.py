@@ -10,8 +10,9 @@ One classic RK4 loop integrates the state (z, J) on a time grid that is
 uniform in log(1 + t), so the steps are short where the drift changes
 fastest (small t) and long where it has decayed.  The spatial Jacobian
 solves dJ/dt = D^2 V_t(S_t) J and rides in the same stages as the state
-so the two stay synchronized, or is absent (None) when not requested.  Backward runs reuse the forward drift routine with a
-negated step; there is no separate reverse-drift code path.
+so the two stay synchronized, or is absent (None) when not requested.
+Backward runs reuse the forward drift routine with a negated step; there
+is no separate reverse-drift code path.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ class FlowIntegrator:
     def _grid(self, t0: float, t1: float) -> np.ndarray:
         """n_steps + 1 times from t0 to t1, uniform in log(1 + t).
 
-        The drift changes on the scale of 1 + t, so the steps grow with t
-        and the work goes where the field varies fastest.  Stage times come
-        from the grid, not accumulation, and both ends are set exactly: the
-        final stage must land on t1 (t = 0 selects the exact-Hessian route).
+        The drift changes fastest near t = 0 and has decayed at large t,
+        so the steps grow like 1 + t.  Stage times come from the grid, not
+        accumulation, and both ends are set exactly: the final stage must
+        land on t1 (t = 0 selects the exact-Hessian route).
         """
         grid = np.expm1(np.linspace(np.log1p(t0), np.log1p(t1), self.stepper.n_steps + 1))
         grid[0], grid[-1] = t0, t1

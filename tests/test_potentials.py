@@ -412,7 +412,7 @@ def _fused_cases():
     ]
 
 
-@pytest.mark.parametrize("name,p,x", _fused_cases(), ids=[c[0] for c in _fused_cases()])
+@pytest.mark.parametrize("name,p,x", [pytest.param(*c, id=c[0]) for c in _fused_cases()])
 def test_value_and_grad_bit_equal_to_separate_calls(name, p, x):
     assert (p.value_grad_fn is None) == name.startswith("fallback")
     v, g = p.value_and_grad(x)
