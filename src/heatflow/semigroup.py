@@ -10,6 +10,13 @@ of the wrong sign) do not overflow.  The pass runs over bounded blocks of
 rows and makes one potential call per block, value and gradient together
 (Potential.value_and_grad) when it needs the gradient.
 
+Node arrays are dim-major: the points e^{-t} x + s Z of a block are stored
+as (dim, rows, K) and reach the potential as an (rows, K, dim) view, so the
+shapes and values a potential sees are the usual ones while numpy's inner
+loops run over the K nodes rather than over the 1-3 coordinates.  The
+weighted sums follow the same rule: the row is the outer loop and K the
+contiguous one.  In dim 1 the two layouts are the same memory.
+
 Batched evaluation: x may be a single point of shape (dim,) or a batch
 (N, dim); outputs follow suit.
 """
@@ -41,6 +48,13 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"point batch must have shape (dim,) or (N, dim) with dim={dim}")
 
 
+def _node_points(x: np.ndarray, e: float, s: float, nodes_dm: np.ndarray) -> np.ndarray:
+    """The points e x + s z for rows x (N, dim) and nodes z stored dim-major
+    (dim, K): an (N, K, dim) view of a C-ordered (dim, N, K) array."""
+    xt = np.ascontiguousarray(x.T)[:, :, None]
+    return (e * xt + s * nodes_dm[:, None, :]).transpose(1, 2, 0)
+
+
 def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.ndarray:
     """E fn(e^{-t} x + sqrt(1-e^{-2t}) Z) for an arbitrary integrand fn.
 
@@ -55,8 +69,7 @@ def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.
     e = np.exp(-t)
     s = np.sqrt(-np.expm1(-2.0 * t))
     nodes, w = scheme.nodes_weights()
-    pts = e * xb[:, None, :] + s * nodes[None, :, :]
-    out = fn(pts) @ w
+    out = fn(_node_points(xb, e, s, np.ascontiguousarray(nodes.T))) @ w
     return out[0] if single else out
 
 
@@ -82,8 +95,11 @@ class SemigroupEvaluator:
         nodes, w = self.scheme.nodes_weights()
         with np.errstate(divide="ignore"):
             logw = np.log(w)
-        outer = nodes[:, :, None] * nodes[:, None, :] - np.eye(self.potential.dim)
-        object.__setattr__(self, "_nodes", nodes)
+        nodes_dm = np.ascontiguousarray(nodes.T)
+        # Z Z^T - Id at every node, stored (dim, dim, K)
+        outer = nodes_dm[:, None] * nodes_dm[None, :] - np.eye(self.potential.dim)[..., None]
+        object.__setattr__(self, "_nodes", nodes)  # (K, dim), as the scheme gives them
+        object.__setattr__(self, "_nodes_dm", nodes_dm)
         object.__setattr__(self, "_logw", logw)
         object.__setattr__(self, "_outer", outer)
 
@@ -117,6 +133,7 @@ class SemigroupEvaluator:
 
         Rows go through in blocks sized so every (rows, K, .) temporary
         stays near BLOCK_BYTES; each row's sums do not depend on the block.
+        The node arrays of a block are dim-major (see the module docstring).
         """
         if hess_route not in (None, "commute", "hermite"):
             raise ValueError(f"unknown hessian route {hess_route!r}")
@@ -129,7 +146,7 @@ class SemigroupEvaluator:
         else:
             e = float(np.exp(-t))
             s = float(np.sqrt(-np.expm1(-2.0 * t)))
-            nodes, logw = self._nodes, self._logw
+            nodes, logw = self._nodes_dm, self._logw
         n, dim = xb.shape
         with_grad = grad or hess_route == "commute"
         m, den = np.empty(n), np.empty(n)
@@ -141,21 +158,22 @@ class SemigroupEvaluator:
             if nodes is None:
                 pts = xb[rows, None, :]
             else:
-                pts = e * xb[rows, None, :] + s * nodes[None, :, :]
+                pts = _node_points(xb[rows], e, s, nodes)
             if with_grad:
                 v, gv = self.potential.value_and_grad(pts)
+                gv = gv.transpose(2, 0, 1)
             else:
                 v = self.potential.value(pts)
             u, m[rows] = self._relative_density(v, logw)
             den[rows] = np.sum(u, axis=1)
             if grad:
-                G[rows] = np.einsum("nk,nkd->nd", u, gv)
+                G[rows] = np.einsum("nk,dnk->nd", u, gv)
             if hess_route == "hermite":
-                H[rows] = np.einsum("nk,kde->nde", u, self._outer)
+                H[rows] = np.einsum("nk,dek->nde", u, self._outer)
             elif hess_route == "commute":
-                hv = self.potential.hess(pts)
-                d2f = gv[..., :, None] * gv[..., None, :] - hv
-                H[rows] = np.einsum("nk,nkde->nde", u, d2f)
+                hv = self.potential.hess(pts).transpose(2, 3, 0, 1)
+                d2f = gv[:, None] * gv[None, :] - hv
+                H[rows] = np.einsum("nk,denk->nde", u, d2f)
         # NaN-safe: a row with zero density at every node has log f_t = NaN
         low = ~(m + np.log(den) > np.log(self.floor))
         if np.any(low):

@@ -159,6 +159,22 @@ def test_transport_2d_job(tmp_path):
     assert cols[:5] == ["index", "input_0", "input_1", "output_0", "output_1"]
 
 
+def test_gaussian2d_example_config_matches_closed_form(tmp_path):
+    # the 2-d Gaussian rho = 1 pushes gamma onto N(0, Id/2) by y -> y/sqrt(2);
+    # 1e-3 is the acceptance-gate tolerance on the map
+    cfg = next(c for c in EXAMPLE_CONFIGS if c.stem == "transport_gaussian2d")
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", str(cfg), "--out", str(out), "--quick"]) == 0
+    lines = [l for l in (out / "samples.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    cols = lines[0].split(",")
+    table = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    ys = table[:, [cols.index("input_0"), cols.index("input_1")]]
+    zs = table[:, [cols.index("output_0"), cols.index("output_1")]]
+    assert len(ys) == 200
+    assert np.max(np.abs(zs - ys / np.sqrt(2.0))) <= 1e-3
+
+
 def test_verify_wrong_declared_curvature_fails(tmp_path):
     cfg = write_cfg(tmp_path / "v.json", {
         "command": "verify",

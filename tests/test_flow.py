@@ -13,7 +13,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def make_flow(p, t_max=8.0, n_steps=300, nodes=128):
-    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=nodes))
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=p.dim, node_count=nodes))
     return hf.FlowIntegrator(ev, t_max=t_max, stepper=StepperConfig(n_steps=n_steps))
 
 
@@ -229,9 +229,15 @@ def test_pushforward_deterministic(std_bump):
     assert np.array_equal(a.outputs, b.outputs)
 
 
-@pytest.mark.parametrize("with_jacobian", [False, True])
-def test_pushforward_chunk_independent(std_bump, with_jacobian):
-    fi = make_flow(std_bump, t_max=8.0, n_steps=100, nodes=48)
+# (dim, with_jacobian); the 1-d cases keep their plain ids
+DIM_CASES = ([pytest.param(1, j, id=str(j)) for j in (False, True)]
+             + [pytest.param(2, j, id=f"2d-{j}") for j in (False, True)])
+
+
+@pytest.mark.parametrize("dim, with_jacobian", DIM_CASES)
+def test_pushforward_chunk_independent(std_bump, dim, with_jacobian):
+    p = std_bump if dim == 1 else hf.bump((0.3, -0.2), 0.6, 0.5, dim=2)
+    fi = make_flow(p, t_max=8.0, n_steps=100, nodes=48 if dim == 1 else 8)
     a = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=500)
     b = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=77)
     assert np.array_equal(a.outputs, b.outputs)
@@ -263,12 +269,24 @@ def test_underflow_row_isolated(with_jacobian):
     assert_row_isolated(fi, ys, 1, with_jacobian)
 
 
-@pytest.mark.parametrize("with_jacobian", [False, True])
-def test_zero_density_row_isolated(walled_gaussian, with_jacobian):
-    # V is +inf past |x| = 5 (the density is exactly zero there), so the
+# V = |x|^2/2 inside the box max|x_i| <= 5 and +inf outside it
+WALLED_GAUSSIAN_2D = hf.Potential(
+    dim=2,
+    raw_fn=lambda x: np.where(np.all(np.abs(x) <= 5.0, axis=-1),
+                              0.5 * np.sum(x * x, axis=-1), np.inf),
+    grad_fn=lambda x: np.array(x, dtype=float),
+    hess_fn=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy(),
+    name="walled_gaussian_2d",
+)
+
+
+@pytest.mark.parametrize("dim, with_jacobian", DIM_CASES)
+def test_zero_density_row_isolated(walled_gaussian, dim, with_jacobian):
+    # V is +inf past |x_i| = 5 (the density is exactly zero there), so the
     # row at -50 ends up with a NaN log f_t rather than one below the floor
-    fi = make_flow(walled_gaussian, t_max=8.0, n_steps=100, nodes=64)
-    ys = np.array([[0.5], [-50.0], [-1.0], [2.0]])
+    p = walled_gaussian if dim == 1 else WALLED_GAUSSIAN_2D
+    fi = make_flow(p, t_max=8.0, n_steps=100, nodes=64 if dim == 1 else 8)
+    ys = np.array([[0.5, 0.2], [-50.0, 1.0], [-1.0, 0.3], [2.0, -1.5]])[:, :dim]
     assert_row_isolated(fi, ys, 1, with_jacobian)
 
 

@@ -170,26 +170,33 @@ def test_zero_density_row_raises_with_its_index(walled_gaussian, gh_scheme, t):
     assert exc.value.rows == [1]
 
 
-def counted(p):
-    """p with a counter of its fused value-and-gradient calls."""
-    calls = []
+def recording(p):
+    """p with a log of (kind, array) for every array its value, gradient,
+    Hessian and fused value-and-gradient calls receive."""
+    seen = []
 
-    def value_grad(x):
-        calls.append(x.shape[0])
-        return p.value_grad_fn(x)
+    def wrap(kind, fn):
+        def rec(x):
+            seen.append((kind, x))
+            return fn(x)
+        return None if fn is None else rec
 
-    return dataclasses.replace(p, value_grad_fn=value_grad), calls
+    return dataclasses.replace(
+        p, raw_fn=wrap("value", p.raw_fn), grad_fn=wrap("grad", p.grad_fn),
+        hess_fn=wrap("hess", p.hess_fn),
+        value_grad_fn=wrap("value_grad", p.value_grad_fn)), seen
 
 
 def test_blocked_pass_matches_row_by_row(std_bump):
-    p, calls = counted(std_bump)
+    p, seen = recording(std_bump)
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=128))
     xs = np.linspace(-4.0, 4.0, 320)[:, None]
     for t in (0.0, 0.05, 1.3):
-        calls.clear()
+        seen.clear()
         drift, hess = ev.drift_and_hess_vt(xs, t)
         # at t = 0 each row is its own single node, so one block holds all
-        assert len(calls) >= (3 if t > 0 else 1)
+        blocks = [kind for kind, _ in seen if kind == "value_grad"]
+        assert len(blocks) >= (3 if t > 0 else 1)
         log_f = ev.log_pt_f(xs, t)
         grad_f = ev.grad_pt_f(xs, t)
         hess_f = ev.hess_pt_f(xs, t, route="commute")
@@ -200,6 +207,84 @@ def test_blocked_pass_matches_row_by_row(std_bump):
             assert np.array_equal(ev.log_pt_f(row, t), log_f[i:i + 1])
             assert np.array_equal(ev.grad_pt_f(row, t), grad_f[i:i + 1])
             assert np.array_equal(ev.hess_pt_f(row, t, route="commute"), hess_f[i:i + 1])
+
+
+MULTIDIM_POTENTIALS = {
+    "gaussian": lambda dim: hf.gaussian(0.8, dim),
+    "bump": lambda dim: hf.bump(0.2, 0.6, 0.5, dim),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MULTIDIM_POTENTIALS))
+@pytest.mark.parametrize("dim, node_count", [(2, 10), (3, 6)])
+def test_blocked_pass_matches_row_by_row_multidim(monkeypatch, family, dim, node_count):
+    # 4 rows a block at t > 0: 23 rows make blocks of 4, 4, 4, 4, 4 and 3,
+    # and the 5 rows put in front move every row to another block position
+    k = node_count ** dim
+    monkeypatch.setattr(semigroup, "BLOCK_BYTES", 8 * k * (2 * dim + 3) * 4)
+    p, seen = recording(MULTIDIM_POTENTIALS[family](dim))
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=dim, node_count=node_count))
+    r = np.random.default_rng(dim)
+    xs = 1.5 * r.standard_normal((23, dim))
+    shifted = np.concatenate([r.standard_normal((5, dim)), xs])
+    for t in (0.0, 0.05, 1.3):
+        seen.clear()
+        drift = ev.drift(xs, t)
+        blocks = [x.shape[0] for kind, x in seen if kind in ("value", "value_grad")]
+        if t > 0:
+            assert blocks == [4, 4, 4, 4, 4, 3]
+        dh_drift, dh_hess = ev.drift_and_hess_vt(xs, t)
+        hess_f = ev.hess_pt_f(xs, t, route="commute")
+        s_drift = ev.drift(shifted, t)[5:]
+        s_dh_drift, s_dh_hess = (a[5:] for a in ev.drift_and_hess_vt(shifted, t))
+        s_hess_f = ev.hess_pt_f(shifted, t, route="commute")[5:]
+        for i in range(xs.shape[0]):
+            row, one = xs[i:i + 1], slice(i, i + 1)
+            d1, h1 = ev.drift_and_hess_vt(row, t)
+            for got, batch, moved in ((ev.drift(row, t), drift, s_drift),
+                                      (d1, dh_drift, s_dh_drift), (h1, dh_hess, s_dh_hess),
+                                      (ev.hess_pt_f(row, t, route="commute"), hess_f,
+                                       s_hess_f)):
+                assert np.array_equal(got, batch[one]) and np.array_equal(got, moved[one])
+
+
+@pytest.mark.parametrize("dim, node_count", [(1, 64), (2, 12), (3, 6)])
+def test_potential_sees_the_node_points(dim, node_count):
+    # the pass stores its points dim-major, but a potential receives them
+    # as the usual (rows, K, dim) array with the values e^{-t} x + s z
+    p, seen = recording(hf.bump(0.2, 0.6, 0.5, dim))
+    scheme = hf.QuadratureScheme(dim=dim, node_count=node_count)
+    ev = hf.SemigroupEvaluator(p, scheme)
+    nodes, w = scheme.nodes_weights()
+    xs = 1.5 * np.random.default_rng(dim).standard_normal((40, dim))
+    for t in (0.05, 1.3):
+        e, s = np.exp(-t), np.sqrt(-np.expm1(-2.0 * t))
+        pts = e * xs[:, None, :] + s * nodes[None, :, :]
+        seen.clear()
+        drift, hess = ev.drift_and_hess_vt(xs, t)
+        assert {kind for kind, _ in seen} == {"value_grad"}
+        assert all(x.shape[1:] == (nodes.shape[0], dim) for _, x in seen)
+        assert np.array_equal(np.concatenate([x for _, x in seen]), pts)
+        # the same pass written inline over C-ordered (rows, K, dim) arrays
+        v, gv = p.value_and_grad(pts)
+        u = np.log(w)[None, :] - v
+        u = np.exp(u - np.max(u, axis=1)[:, None])
+        den = np.sum(u, axis=1)
+        grad_ratio = -e * np.einsum("nk,nkd->nd", u, gv) / den[:, None]
+        outer = nodes[:, :, None] * nodes[:, None, :] - np.eye(dim)
+        hess_ratio = np.einsum("nk,kde->nde", u, outer) / (den * np.expm1(2.0 * t))[:, None, None]
+        want = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
+        if dim == 1:
+            assert np.array_equal(drift, -grad_ratio) and np.array_equal(hess, want)
+        else:
+            # only the order of the weighted sums differs, so both agree to
+            # rounding relative to the size of the terms that are summed
+            g_size = e * np.einsum("nk,nkd->nd", u, np.abs(gv)) / den[:, None]
+            h_size = (np.einsum("nk,kde->nde", u, np.abs(outer))
+                      / (den * np.expm1(2.0 * t))[:, None, None])
+            assert np.all(np.abs(drift + grad_ratio) <= 1e-14 * g_size)
+            assert np.all(np.abs(hess - want)
+                          <= 1e-14 * (h_size + g_size[..., :, None] * g_size[..., None, :]))
 
 
 def test_underflow_rows_in_different_blocks_named_by_one_error(monkeypatch, gh_scheme):
