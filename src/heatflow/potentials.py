@@ -487,7 +487,6 @@ def mollify(p: Potential, sigma: float,
     if scheme is None:
         scheme = QuadratureScheme(dim=p.dim)
     nodes, w = scheme.nodes_weights()  # (K, dim), (K,)
-    nodes_dm = np.ascontiguousarray(nodes.T)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
     dim = p.dim
@@ -511,19 +510,12 @@ def mollify(p: Potential, sigma: float,
             c = np.where(np.isfinite(c_next), c_next, c)
         return c
 
-    def node_points(ax, c):
-        """ax + tau (c + z) at every node z: a (..., K, dim) view of a
-        dim-major (dim, ..., K) array, as in the semigroup pass."""
-        ax_t, c_t = (np.ascontiguousarray(np.moveaxis(y, -1, 0))[..., None] for y in (ax, c))
-        z = nodes_dm.reshape((dim,) + (1,) * (ax.ndim - 1) + (-1,))
-        return np.moveaxis(ax_t + tau * (c_t + z), 0, -1)
-
     def moments(x):
         """(log E[e^{-V(a x + tau Z)}], weights u of the centred nodes
         summing to 1, E_u[node], centre c); E_u[Z] = E_u[node] + c."""
         ax = a * x
         c = centre(ax)
-        s = (logw - p.value(node_points(ax, c))
+        s = (logw - p.value(ax[..., None, :] + tau * (c[..., None, :] + nodes))
              - c @ nodes.T - 0.5 * np.sum(c * c, axis=-1)[..., None])
         m = np.max(s, axis=-1)
         u = np.exp(s - m[..., None])

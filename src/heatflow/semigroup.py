@@ -69,7 +69,8 @@ def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.
     e = np.exp(-t)
     s = np.sqrt(-np.expm1(-2.0 * t))
     nodes, w = scheme.nodes_weights()
-    out = fn(_node_points(xb, e, s, np.ascontiguousarray(nodes.T))) @ w
+    pts = e * xb[:, None, :] + s * nodes[None, :, :]
+    out = fn(pts) @ w
     return out[0] if single else out
 
 

@@ -159,22 +159,6 @@ def test_transport_2d_job(tmp_path):
     assert cols[:5] == ["index", "input_0", "input_1", "output_0", "output_1"]
 
 
-def test_gaussian2d_example_config_matches_closed_form(tmp_path):
-    # the 2-d Gaussian rho = 1 pushes gamma onto N(0, Id/2) by y -> y/sqrt(2);
-    # 1e-3 is the acceptance-gate tolerance on the map
-    cfg = next(c for c in EXAMPLE_CONFIGS if c.stem == "transport_gaussian2d")
-    out = tmp_path / "out"
-    assert cli.main(["transport", "--config", str(cfg), "--out", str(out), "--quick"]) == 0
-    lines = [l for l in (out / "samples.csv").read_text().splitlines()
-             if not l.startswith("#")]
-    cols = lines[0].split(",")
-    table = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
-    ys = table[:, [cols.index("input_0"), cols.index("input_1")]]
-    zs = table[:, [cols.index("output_0"), cols.index("output_1")]]
-    assert len(ys) == 200
-    assert np.max(np.abs(zs - ys / np.sqrt(2.0))) <= 1e-3
-
-
 def test_verify_wrong_declared_curvature_fails(tmp_path):
     cfg = write_cfg(tmp_path / "v.json", {
         "command": "verify",
@@ -273,6 +257,23 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+def gaussian2d_matches_closed_form(out):
+    # the 2-d Gaussian rho = 1 pushes gamma onto N(0, Id/2) by y -> y/sqrt(2);
+    # 1e-3 is the acceptance-gate tolerance on the map
+    lines = [l for l in (out / "samples.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    cols = lines[0].split(",")
+    table = np.loadtxt(lines[1:], delimiter=",")
+    ys = table[:, [cols.index("input_0"), cols.index("input_1")]]
+    zs = table[:, [cols.index("output_0"), cols.index("output_1")]]
+    assert len(ys) == 200
+    assert np.max(np.abs(zs - ys / np.sqrt(2.0))) <= 1e-3
+
+
+# checks on the --quick outputs of particular example configs, by stem
+EXAMPLE_OUTPUT_CHECKS = {"transport_gaussian2d": gaussian2d_matches_closed_form}
+
+
 @pytest.mark.parametrize("cfg", EXAMPLE_CONFIGS, ids=lambda p: p.stem)
 def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
     command = json.loads(cfg.read_text())["command"]
@@ -283,6 +284,8 @@ def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
     assert names and names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    if cfg.stem in EXAMPLE_OUTPUT_CHECKS:
+        EXAMPLE_OUTPUT_CHECKS[cfg.stem](outs[0])
 
 
 FAULT_PROBE = """
