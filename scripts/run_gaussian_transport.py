@@ -20,8 +20,7 @@ def main():
 
     p = hf.normalize(hf.gaussian(rho))
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=64))
-    fi = hf.FlowIntegrator(ev, t_max=10.0,
-                           stepper=hf.StepperConfig(n_steps=200))
+    fi = hf.FlowIntegrator(ev, t_max=10.0, n_steps=200)
 
     ps = fi.pushforward_samples(n, seed=42, with_jacobian=False)
     scale = 1.0 / np.sqrt(1.0 + rho)

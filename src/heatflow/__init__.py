@@ -19,7 +19,7 @@ from .bounds import (
     profile_integral_split,
     switch_time,
 )
-from .flow import FlowIntegrator, StepperConfig, TrajectoryRecord, TransportResult
+from .flow import FlowIntegrator, TrajectoryRecord, TransportResult
 from .potentials import (
     GridSpec,
     Potential,

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 from .errors import DomainError, LambdaBelowOneError, NonIntegrableError
 
-T_CUT_DEFAULT = 20.0
+T_CUT = 20.0
+SIMPSON_MAX_DEPTH = 48
 
 
 def _curvature_route(lam: float, t):
@@ -215,12 +216,12 @@ def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
-                     max_depth: int = 48) -> float:
+def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Recursive Simpson with interval halving to a relative tolerance.
 
     The tolerance budget is split between halves at every level, so the
-    accumulated error over all leaves stays below rel_tol * |integral|.
+    accumulated error over all leaves stays below rel_tol * |integral|;
+    an interval SIMPSON_MAX_DEPTH halvings deep is accepted as it is.
     """
     if b <= a:
         return 0.0
@@ -236,7 +237,7 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
         flm, frm = float(f(lm)), float(f(rm))
         left = _simpson(a, m, fa, flm, fm)
         right = _simpson(m, b, fm, frm, fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
+        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
                 + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
@@ -244,25 +245,25 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
     return recurse(a, b, fa, fm, fb, whole, tol0, 0)
 
 
-def lipschitz_from_profile(profile: LambdaProfile,
-                           t_cut: float = T_CUT_DEFAULT,
-                           rel_tol: float = 1e-10) -> float:
+def lipschitz_from_profile(profile: LambdaProfile) -> float:
     """exp(integral of the profile over (0, inf)).
 
     Numeric adaptive Simpson over (valid_from, t_cut], split at the branch
     crossover when the profile has one, plus the closed-form tail beyond
-    t_cut.  Profiles without a closed tail must be negligible past t_cut.
+    t_cut = max(T_CUT, switch point + 1).  Profiles without a closed tail
+    must be negligible past t_cut.
     """
     a = profile.valid_from
     if not np.isfinite(profile(a)):
         raise NonIntegrableError("profile diverges at its left endpoint")
+    t_cut = T_CUT
     if profile.switch_point is not None:
         t_cut = max(t_cut, profile.switch_point + 1.0)
     pieces = [t for t in (profile.switch_point,) if t is not None and a < t < t_cut]
     knots = [a] + pieces + [t_cut]
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        total += simpson_adaptive(lambda t: float(profile(t)), lo, hi, rel_tol)
+        total += simpson_adaptive(lambda t: float(profile(t)), lo, hi)
     if profile.closed_tail is not None:
         tail = profile.closed_tail(t_cut)
     elif float(profile(t_cut)) * 0.5 > 1e-8:

@@ -26,6 +26,13 @@ from .errors import (
 from .potentials import Potential, vt_counterexample
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+KS_DIRECTIONS = 20
+KS_DIRECTION_SEED = 2024
+KS_REFERENCE_SIZE = 200_000
+LIPSCHITZ_MAX_EXACT = 2000
+LIPSCHITZ_PAIR_BUDGET = 1_000_000
+LIPSCHITZ_PAIR_SEED = 7
+TAIL_INCOMPATIBILITY_LEVEL = -0.02
 
 
 # -- standard normal helpers --------------------------------------------------
@@ -55,26 +62,25 @@ def normal_cdf_scaled(x):
 class TargetCdf:
     """CDF of the probability measure proportional to e^{-V} dgamma, dim 1.
 
-    Built once from a dense cumulative-Simpson pass over the Lebesgue
-    density and renormalized by the computed total mass, so it does not
-    depend on the potential's own normalization constant.
+    Built once from a dense cumulative-Simpson pass (step 1e-3) over the
+    Lebesgue density on [-12, 12], each end widened by 4 until the density
+    there is below 1e-15, and renormalized by the computed total mass, so
+    it does not depend on the potential's own normalization constant.
     """
 
-    def __init__(self, p: Potential, lo: float = -12.0, hi: float = 12.0,
-                 step: float = 1e-3, density_floor: float = 1e-15):
+    def __init__(self, p: Potential):
         if p.dim != 1:
             raise ValueError("TargetCdf requires a 1-d potential")
-        self.potential = p
-        lo, hi = float(lo), float(hi)
+        lo, hi = -12.0, 12.0
         for _ in range(20):
-            if p.lebesgue_density(np.array([[lo]]))[0] < density_floor:
+            if p.lebesgue_density(np.array([[lo]]))[0] < 1e-15:
                 break
             lo -= 4.0
         for _ in range(20):
-            if p.lebesgue_density(np.array([[hi]]))[0] < density_floor:
+            if p.lebesgue_density(np.array([[hi]]))[0] < 1e-15:
                 break
             hi += 4.0
-        n = int(np.ceil((hi - lo) / step)) + 1
+        n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
         dens = p.lebesgue_density(xs[:, None])
         cum = integrate.cumulative_simpson(dens, x=xs, initial=0.0)
@@ -95,12 +101,10 @@ class TargetCdf:
                             xtol=1e-12))
 
 
-def monotone_rearrangement_1d(p: Potential, q: float,
-                              cdf: TargetCdf | None = None) -> float:
+def monotone_rearrangement_1d(p: Potential, q: float) -> float:
     """F^{-1}(q) for the target CDF F; y -> F^{-1}(Phi(y)) is the unique
     increasing map pushing gamma onto the target."""
-    table = cdf if cdf is not None else TargetCdf(p)
-    return table.quantile(q)
+    return TargetCdf(p).quantile(q)
 
 
 def rearrangement_map(p: Potential, ys: np.ndarray) -> np.ndarray:
@@ -119,15 +123,14 @@ def _ks_statistic(sorted_samples: np.ndarray, cdf_at_samples: np.ndarray) -> flo
                                    cdf_at_samples - (i - 1) / n)))
 
 
-def ks_distance(samples: np.ndarray, p: Potential,
-                directions: int = 20, direction_seed: int = 2024,
-                mc_count: int = 200_000) -> float:
+def ks_distance(samples: np.ndarray, p: Potential) -> float:
     """sup |empirical CDF - target CDF|.
 
     Dim 1 uses the quadrature CDF exactly; higher dimensions use the
-    sliced variant: the max of the 1-d statistic over `directions` fixed
+    sliced variant: the max of the 1-d statistic over KS_DIRECTIONS fixed
     seeded unit vectors, with projected target CDFs estimated from one
-    deterministic importance-weighted Gaussian sample.
+    deterministic importance-weighted Gaussian sample of KS_REFERENCE_SIZE
+    points.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -138,10 +141,10 @@ def ks_distance(samples: np.ndarray, p: Potential,
         table = TargetCdf(p)
         xs = np.sort(samples[:, 0])
         return _ks_statistic(xs, table.cdf(xs))
-    rng = np.random.default_rng(direction_seed)
-    dirs = rng.standard_normal((directions, p.dim))
+    rng = np.random.default_rng(KS_DIRECTION_SEED)
+    dirs = rng.standard_normal((KS_DIRECTIONS, p.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ref = rng.standard_normal((mc_count, p.dim))
+    ref = rng.standard_normal((KS_REFERENCE_SIZE, p.dim))
     wts = p.density(ref)
     wts = wts / wts.sum()
     worst = 0.0
@@ -152,7 +155,7 @@ def ks_distance(samples: np.ndarray, p: Potential,
         cum = np.cumsum(wts[order])
         xs = np.sort(samples @ u)
         idx = np.searchsorted(proj_sorted, xs, side="right")
-        cdf_vals = np.where(idx > 0, cum[np.minimum(idx, mc_count) - 1], 0.0)
+        cdf_vals = np.where(idx > 0, cum[np.minimum(idx, KS_REFERENCE_SIZE) - 1], 0.0)
         worst = max(worst, _ks_statistic(xs, cdf_vals))
     return worst
 
@@ -167,15 +170,13 @@ class EmpiricalLipschitz:
     duplicates_skipped: int
 
 
-def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray,
-                        max_exact: int = 2000, pair_budget: int = 1_000_000,
-                        seed: int = 7) -> EmpiricalLipschitz:
+def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLipschitz:
     """max over pairs of |out_i - out_j| / |in_i - in_j|.
 
-    Exact over all pairs up to max_exact points; beyond that a seeded
-    subsample of pair_budget random pairs is used (plus sorted-adjacent
-    pairs in dim 1, where the largest local slopes live).  Coincident
-    inputs are skipped and counted.
+    Exact over all pairs up to LIPSCHITZ_MAX_EXACT points; beyond that
+    LIPSCHITZ_PAIR_BUDGET random pairs drawn from LIPSCHITZ_PAIR_SEED are
+    used (plus sorted-adjacent pairs in dim 1, where the largest local
+    slopes live).  Coincident inputs are skipped and counted.
     """
     inputs = np.asarray(inputs, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
@@ -187,12 +188,12 @@ def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray,
     if n < 2:
         raise EmptySamplesError("need at least two pairs")
 
-    if n <= max_exact:
+    if n <= LIPSCHITZ_MAX_EXACT:
         ii, jj = np.triu_indices(n, k=1)
     else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, pair_budget)
-        jj = rng.integers(0, n, pair_budget)
+        rng = np.random.default_rng(LIPSCHITZ_PAIR_SEED)
+        ii = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
+        jj = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
         if inputs.shape[1] == 1:
@@ -362,21 +363,17 @@ class TailFit:
     xs: np.ndarray
     log_tail: np.ndarray
     linear_slope: float
-    linear_intercept: float
     quad_coeff: float
-    quad_linear: float
-    quad_intercept: float
     gaussian_incompatible: bool
     implied_lipschitz: Optional[float]
 
 
-def tail_test(p: Potential, xs: Sequence[float],
-              incompatibility_level: float = -0.02) -> TailFit:
+def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
     """log Pr(X >= x) over xs with linear and quadratic least-squares fits.
 
     A Lipschitz image of gamma with constant L has a tail whose log decays
     like -x^2/(2 L^2); a fitted quadratic coefficient above
-    `incompatibility_level` therefore flags the target as incompatible
+    TAIL_INCOMPATIBILITY_LEVEL therefore flags the target as incompatible
     with any such pushforward (the refutation used by the linear-tail
     example, whose log tail is exactly affine).
     """
@@ -404,10 +401,9 @@ def tail_test(p: Potential, xs: Sequence[float],
             raise QuadratureFailError(f"tail mass at x={x} not positive-finite")
     log_tail = np.log(tails)
     A1 = np.vstack([np.ones_like(xs), xs]).T
-    (b0, b1), *_ = np.linalg.lstsq(A1, log_tail, rcond=None)[:1]
+    (_, b1), *_ = np.linalg.lstsq(A1, log_tail, rcond=None)[:1]
     A2 = np.vstack([np.ones_like(xs), xs, xs * xs]).T
-    (a0, a1, a2), *_ = np.linalg.lstsq(A2, log_tail, rcond=None)[:1]
-    incompatible = bool(a2 > incompatibility_level)
+    (_, _, a2), *_ = np.linalg.lstsq(A2, log_tail, rcond=None)[:1]
+    incompatible = bool(a2 > TAIL_INCOMPATIBILITY_LEVEL)
     implied = float(np.sqrt(-1.0 / (2.0 * a2))) if a2 < -1e-12 else None
-    return TailFit(xs, log_tail, float(b1), float(b0), float(a2), float(a1),
-                   float(a0), incompatible, implied)
+    return TailFit(xs, log_tail, float(b1), float(a2), incompatible, implied)

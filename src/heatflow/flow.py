@@ -17,7 +17,7 @@ is no separate reverse-drift code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,8 +25,6 @@ import numpy as np
 from .errors import DensityUnderflowError
 from .semigroup import SemigroupEvaluator
 
-DEFAULT_T_MAX = 12.0
-DEFAULT_RK4_STEPS = 600
 # The kink-sampling Hessian route amplifies noise like 1/t as t -> 0, so
 # the variational equation clamps Hessian evaluations below this time to
 # it; smooth potentials at t = 0 use their own Hessian directly.  A stage
@@ -35,13 +33,6 @@ DEFAULT_RK4_STEPS = 600
 # the last step, and only once n_steps > log1p(t_max) / log1p(2e-3), about
 # 1284 steps at t_max = 12 (6000 on a uniform grid).
 T_HESS_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    """Classic Runge-Kutta (RK4) with n_steps steps, uniform in log(1 + t)."""
-
-    n_steps: int = DEFAULT_RK4_STEPS
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,6 @@ class PushforwardSamples:
     error_bound: Optional[float]
     certified: bool
     failed_indices: np.ndarray
-    seed: int
 
 
 def map_table(samples: "PushforwardSamples") -> list[dict]:
@@ -96,11 +86,21 @@ def _axpy(y, a, k):
 
 @dataclass(frozen=True)
 class FlowIntegrator:
-    """Time-stepping engine for the flow and its variational equation."""
+    """Time-stepping engine for the flow and its variational equation.
+
+    Classic RK4 with n_steps steps, uniform in log(1 + t); backward
+    transport starts at the truncation horizon t_max.
+    """
 
     evaluator: SemigroupEvaluator
-    t_max: float = DEFAULT_T_MAX
-    stepper: StepperConfig = field(default_factory=StepperConfig)
+    t_max: float = 12.0
+    n_steps: int = 600
+
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        if not (np.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError("t_max must be finite and >= 0")
 
     # -- the vector field and its one stepper ----------------------------
 
@@ -150,7 +150,7 @@ class FlowIntegrator:
         accumulation, and both ends are set exactly: the final stage must
         land on t1 (t = 0 selects the exact-Hessian route).
         """
-        grid = np.expm1(np.linspace(np.log1p(t0), np.log1p(t1), self.stepper.n_steps + 1))
+        grid = np.expm1(np.linspace(np.log1p(t0), np.log1p(t1), self.n_steps + 1))
         grid[0], grid[-1] = t0, t1
         return grid
 
@@ -255,7 +255,5 @@ class FlowIntegrator:
             if with_jacobian:
                 norms[lo:hi] = np.linalg.svd(J, compute_uv=False)[..., 0]
         bound = self.truncation_error_bound()
-        return PushforwardSamples(
-            inputs, outputs, norms, bound, bound is not None,
-            np.flatnonzero(failed), seed,
-        )
+        return PushforwardSamples(inputs, outputs, norms, bound, bound is not None,
+                                  np.flatnonzero(failed))

@@ -197,11 +197,9 @@ def sym_eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    grid_points: int
     curvature_violation: Optional[float]
     oscillation_violation: Optional[float]
     min_hess_eigenvalue: float
-    grid_oscillation: float
 
 
 def validate_metadata(p: Potential, grid: GridSpec) -> ValidationReport:
@@ -209,24 +207,22 @@ def validate_metadata(p: Potential, grid: GridSpec) -> ValidationReport:
     pts = grid.points()
     if pts.shape[-1] != p.dim:
         raise ValueError("grid dimension does not match potential dimension")
-    vals = p.value(pts)
     lo_eig, _ = sym_eig_bounds(p.hess(pts))
     min_eig = float(np.min(lo_eig))
-    osc = float(np.max(vals) - np.min(vals))
     curv_viol = None
     if p.curvature_lower is not None:
         curv_viol = max(0.0, -(min_eig + p.curvature_lower))
     osc_viol = None
     if p.oscillation is not None:
-        osc_viol = max(0.0, osc - p.oscillation)
-    return ValidationReport(pts.shape[0], curv_viol, osc_viol, min_eig, osc)
+        vals = p.value(pts)
+        osc_viol = max(0.0, float(np.max(vals) - np.min(vals)) - p.oscillation)
+    return ValidationReport(curv_viol, osc_viol, min_eig)
 
 
 # -- normalization --------------------------------------------------------
 
 
-def log_mass(p: Potential, scheme: QuadratureScheme,
-             rel_tol: float = 1e-10) -> tuple[float, float]:
+def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
     """(log integral of e^{-V} dgamma, achieved relative tolerance)."""
     if scheme.kind == "monte_carlo":
         val = gaussian_expectation_mc(lambda z: p.density(z), scheme)
@@ -238,8 +234,8 @@ def log_mass(p: Potential, scheme: QuadratureScheme,
             "dim above Gauss-Hermite cap; supply a monte_carlo scheme"
         )
     res = gaussian_expectation_adaptive(
-        lambda z: -p.value(z), p.dim, rel_tol=rel_tol,
-        start_nodes=scheme.node_count, log_integrand=True,
+        lambda z: -p.value(z), p.dim, start_nodes=scheme.node_count,
+        log_integrand=True,
     )
     if res.value <= 0:
         raise NonIntegrableError("mass estimate vanished")

@@ -17,6 +17,8 @@ from scipy.special import roots_hermitenorm
 from .errors import DimensionTooHighError, NonIntegrableError
 
 GH_TENSOR_DIM_MAX = 3
+ADAPTIVE_REL_TOL = 1e-10
+ADAPTIVE_MAX_NODES = 4096
 
 
 @lru_cache(maxsize=64)
@@ -97,9 +99,7 @@ class AdaptiveResult:
 def gaussian_expectation_adaptive(
     fn,
     dim: int,
-    rel_tol: float = 1e-10,
     start_nodes: int = 64,
-    max_nodes: int = 4096,
     log_integrand: bool = False,
 ) -> AdaptiveResult:
     """E[fn(Z)] by Gauss-Hermite with node doubling until stabilized.
@@ -110,9 +110,9 @@ def gaussian_expectation_adaptive(
 
     Raises NonIntegrableError when the estimates keep growing by large
     factors across refinements, the signature of a divergent integral.
-    If the sequence is stable but has not met rel_tol at max_nodes, the
-    last estimate is returned with converged=False and the achieved
-    relative change recorded.
+    If the sequence is stable but has not met ADAPTIVE_REL_TOL at
+    ADAPTIVE_MAX_NODES, the last estimate is returned with converged=False
+    and the achieved relative change recorded.
     """
     if dim > GH_TENSOR_DIM_MAX:
         raise DimensionTooHighError(
@@ -135,7 +135,7 @@ def gaussian_expectation_adaptive(
     n = start_nodes
     growth_streak = 0
     rel = np.inf
-    while n < max_nodes:
+    while n < ADAPTIVE_MAX_NODES:
         n *= 2
         cur = estimate(n)
         if not np.isfinite(cur):
@@ -150,7 +150,7 @@ def gaussian_expectation_adaptive(
                 )
         else:
             growth_streak = 0
-        if rel < rel_tol:
+        if rel < ADAPTIVE_REL_TOL:
             return AdaptiveResult(cur, rel, n, True)
         prev = cur
     return AdaptiveResult(prev, rel, n, False)

@@ -31,7 +31,7 @@ from .errors import DensityUnderflowError, HermiteAtTimeZeroError
 from .potentials import Potential, sym_eig_bounds
 from .quadrature import QuadratureScheme
 
-LOG_FLOOR_DEFAULT = 1e-300
+DENSITY_FLOOR = 1e-300
 # target size of the per-node arrays of one block of rows in the shared-node
 # pass: bounded temporaries are reused by the allocator across passes, where
 # whole-batch (N, K, dim) arrays are returned to the OS and page-faulted in
@@ -78,8 +78,8 @@ def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.
 class SemigroupEvaluator:
     """Evaluates f_t = P_t e^{-V}, its derivatives and the flow drift.
 
-    floor: estimates at or below this density, or undefined ones (V = +inf
-    at every node), raise DensityUnderflowError rather than silently
+    Estimates at or below DENSITY_FLOOR, or undefined ones (V = +inf at
+    every node), raise DensityUnderflowError rather than silently
     flushing to zero; the drift divides by f_t and a silent zero would
     poison trajectories.  The error's `rows` names every offending row of
     the batch, so a caller can drop exactly those rows and rerun the rest
@@ -88,7 +88,6 @@ class SemigroupEvaluator:
 
     potential: Potential
     scheme: QuadratureScheme
-    floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
         if self.scheme.dim != self.potential.dim:
@@ -176,7 +175,7 @@ class SemigroupEvaluator:
                 d2f = gv[:, None] * gv[None, :] - hv
                 H[rows] = np.einsum("nk,denk->nde", u, d2f)
         # NaN-safe: a row with zero density at every node has log f_t = NaN
-        low = ~(m + np.log(den) > np.log(self.floor))
+        low = ~(m + np.log(den) > np.log(DENSITY_FLOOR))
         if np.any(low):
             raise DensityUnderflowError(
                 "smoothed density at or below floor; quadrature range too "

@@ -26,7 +26,6 @@ from heatflow.diagnostics import (
     tail_test,
     vt_counterexample_check,
 )
-from heatflow.flow import StepperConfig
 
 
 def report(n, ok, detail):
@@ -37,8 +36,7 @@ def report(n, ok, detail):
 
 def make_flow(p, nodes, t_max, n_steps):
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=nodes))
-    return hf.FlowIntegrator(ev, t_max=t_max,
-                             stepper=StepperConfig(n_steps=n_steps))
+    return hf.FlowIntegrator(ev, t_max=t_max, n_steps=n_steps)
 
 
 def test_criterion_01_gaussian_end_to_end():

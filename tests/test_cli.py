@@ -7,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatflow as hf
 from heatflow import cli
 
-
-EXAMPLE_CONFIGS = sorted(
-    (Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.json")
-)
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE_CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
 
 
 def write_cfg(path, payload):
@@ -159,6 +158,45 @@ def test_transport_2d_job(tmp_path):
     assert cols[:5] == ["index", "input_0", "input_1", "output_0", "output_1"]
 
 
+def test_transport_single_sample_writes_summary(tmp_path):
+    # one good sample has a KS statistic but no pair for a Lipschitz ratio
+    cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
+        "potential": {"family": "bump", "params": {"radius": 0.5, "height": 0.5}},
+        "samples": 1,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_samples"] == [] and summary["pass"] is True
+    assert 0.0 < summary["ks"] <= 1.0
+    assert summary["empirical_lipschitz"] is None
+    assert summary["duplicate_pairs_skipped"] is None
+    assert summary["lipschitz_within_theorem"] is None
+
+
+def test_transport_all_samples_failed_writes_summary(tmp_path):
+    # e^{-800} is below the density floor everywhere, so every row fails
+    cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
+        "potential": {"table": {"grid": [-1.0, 1.0], "values": [800.0, 800.0]},
+                      "normalize": False},
+        "samples": 5,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_samples"] == [0, 1, 2, 3, 4]
+    assert summary["pass"] is False
+    assert summary["ks"] is None and summary["empirical_lipschitz"] is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cli_defaults_are_the_library_defaults(dim):
+    scheme = hf.QuadratureScheme(dim, node_count=8)
+    ev = hf.SemigroupEvaluator(hf.gaussian(1.0, dim), scheme)
+    assert cli._flow_from({}, ev, False) == hf.FlowIntegrator(ev)
+    assert cli._scheme_from({}, dim, False) == hf.QuadratureScheme(dim=dim)
+
+
 def test_verify_wrong_declared_curvature_fails(tmp_path):
     cfg = write_cfg(tmp_path / "v.json", {
         "command": "verify",
@@ -224,6 +262,17 @@ def test_command_mismatch_is_config_error(tmp_path):
 def test_unknown_flow_method_config_error(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"flow": {"method": "adaptive"}})
     assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("quick", [False, True])
+@pytest.mark.parametrize("flow", [{"n_steps": 0}, {"t_max": -5.0}])
+def test_bad_flow_grid_config_error(tmp_path, flow, quick):
+    # checked on the config's value, before --quick raises the step count
+    cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"flow": flow})
+    out = tmp_path / "out"
+    quick_flag = ["--quick"] if quick else []
+    assert cli.main(["transport", "--config", cfg, "--out", str(out), *quick_flag]) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_bad_family_params_config_error(tmp_path):
@@ -319,3 +368,18 @@ def test_transport_job_page_faults_bounded(tmp_path):
     code, faults = map(int, run.stdout.split())
     assert code == 0
     assert faults < 50_000
+
+
+SCRIPT_ARGS = {"run_gaussian_transport.py": ["1.0", "500"]}
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_demo_script_runs(script, tmp_path):
+    # run from a scratch directory, since the scripts write into the cwd
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, str(script), *SCRIPT_ARGS.get(script.name, [])],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

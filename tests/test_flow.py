@@ -7,14 +7,14 @@ import pytest
 import heatflow as hf
 from heatflow import semigroup
 from heatflow.diagnostics import empirical_lipschitz, ks_distance, rearrangement_map
-from heatflow.flow import T_HESS_FLOOR, StepperConfig
+from heatflow.flow import T_HESS_FLOOR
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def make_flow(p, t_max=8.0, n_steps=300, nodes=128):
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=p.dim, node_count=nodes))
-    return hf.FlowIntegrator(ev, t_max=t_max, stepper=StepperConfig(n_steps=n_steps))
+    return hf.FlowIntegrator(ev, t_max=t_max, n_steps=n_steps)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,15 @@ def test_transport_grid_hits_both_ends_and_is_monotone(monkeypatch, std_bump, t_
     fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
     assert times[0] == t_max and times[-1] == 0.0
     assert times[1] == 0.5 * (grid[0] + grid[1])
+
+
+@pytest.mark.parametrize("kwargs", [{"n_steps": 0}, {"n_steps": -3}, {"t_max": -5.0},
+                                    {"t_max": np.inf}, {"t_max": np.nan}])
+def test_flow_rejects_bad_grid(flow_const, kwargs):
+    # a one-point grid would map every sample to itself, and t_max < 0 puts
+    # log1p of a negative time on the grid
+    with pytest.raises(ValueError):
+        hf.FlowIntegrator(flow_const.evaluator, **kwargs)
 
 
 def test_gaussian_map_error_fourth_order_on_graded_grid(gaussian_one):
@@ -364,7 +373,7 @@ def test_empirical_lipschitz_from_flow(gaussian_one):
 def test_dim2_gaussian_transport():
     p = hf.normalize(hf.gaussian(1.0, dim=2))
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=2, node_count=32))
-    fi = hf.FlowIntegrator(ev, t_max=8.0, stepper=StepperConfig(n_steps=120))
+    fi = hf.FlowIntegrator(ev, t_max=8.0, n_steps=120)
     ys = np.array([[1.0, -2.0], [0.5, 0.5], [-3.0, 1.0]])
     z, _, failed = fi.transport_batch(ys)
     assert not failed.any()
