@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from .errors import DomainError, LambdaBelowOneError, NonIntegrableError
+from .errors import HeatflowError
 
 T_CUT = 20.0
 SIMPSON_MAX_DEPTH = 48
@@ -51,16 +51,16 @@ def _oscillation_tail(c: float, s: float) -> float:
 def curvature_profile_value(lam: float, t) -> np.ndarray:
     """Propagated curvature bound lam e^{-2t} / (1 - lam (1-e^{-2t})).
 
-    Defined while lam (1 - e^{-2t}) < 1; raises DomainError past the
+    Defined while lam (1 - e^{-2t}) < 1; raises ValueError past the
     blow-up time (certification by curvature alone ends there).
     """
     if lam < 0:
-        raise DomainError("curvature parameter must be >= 0")
+        raise ValueError("curvature parameter must be >= 0")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
-        raise DomainError("time must be >= 0")
+        raise ValueError("time must be >= 0")
     if np.any(lam * (1.0 - np.exp(-2.0 * t)) >= 1.0):
-        raise DomainError(
+        raise ValueError(
             f"curvature route undefined where lam*(1-e^-2t) >= 1 (lam={lam})"
         )
     out = _curvature_route(lam, t)
@@ -70,10 +70,10 @@ def curvature_profile_value(lam: float, t) -> np.ndarray:
 def oscillation_profile_value(c: float, t) -> np.ndarray:
     """Oscillation-budget bound e^c / (e^{2t} - 1), t > 0."""
     if c < 0:
-        raise DomainError("oscillation parameter must be >= 0")
+        raise ValueError("oscillation parameter must be >= 0")
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
-        raise DomainError("oscillation route requires t > 0")
+        raise ValueError("oscillation route requires t > 0")
     out = _oscillation_route(c, t)
     return out if out.shape else float(out)
 
@@ -88,7 +88,7 @@ def curvature_blowup_time(lam: float) -> float:
 def switch_time(lam: float) -> float:
     """s with 1 - e^{-2s} = 1/(2 lam), the split point behind the closed bound."""
     if lam < 1.0:
-        raise LambdaBelowOneError(
+        raise ValueError(
             "switch time defined for lam >= 1; use the dilation reduction below"
         )
     return float(-0.5 * np.log1p(-1.0 / (2.0 * lam)))
@@ -101,11 +101,11 @@ def profile_integral_split(lam: float, c: float, s: float) -> tuple[float, float
     tail = e^c * integral_s^inf dt/(e^{2t}-1) = e^c * (-log(1 - e^{-2s}) / 2)
     """
     if s < 0:
-        raise DomainError("split point must be >= 0")
+        raise ValueError("split point must be >= 0")
     e2 = np.exp(-2.0 * s)
     arg = 1.0 - lam * (1.0 - e2)
     if arg <= 0:
-        raise DomainError("split point beyond the curvature route's domain")
+        raise ValueError("split point beyond the curvature route's domain")
     head = -0.5 * np.log(arg)
     return float(head), _oscillation_tail(c, s)
 
@@ -117,9 +117,9 @@ def lipschitz_bound(lam: float, c: float) -> tuple[float, float]:
     l_theorem = 2 (2 lam)^{e^c} is the simpler dominating constant.
     """
     if lam < 1.0:
-        raise LambdaBelowOneError("constants defined for lam >= 1")
+        raise ValueError("constants defined for lam >= 1")
     if c < 0:
-        raise DomainError("oscillation must be >= 0")
+        raise ValueError("oscillation must be >= 0")
     ec = np.exp(c)
     l_tight = float(np.sqrt(2.0) * (2.0 * lam) ** (ec / 2.0))
     l_theorem = float(2.0 * (2.0 * lam) ** ec)
@@ -167,7 +167,7 @@ def hessian_floor_profile(C: float, f_min: float) -> LambdaProfile:
     squared; the two disagree and both are exposed rather than adjudicated.
     """
     if f_min <= 0:
-        raise DomainError("density floor must be positive")
+        raise ValueError("density floor must be positive")
     return LambdaProfile(
         lambda t: C * np.exp(-2.0 * t) / f_min,
         closed_tail=lambda t_cut: float(C * np.exp(-2.0 * t_cut) / (2.0 * f_min)),
@@ -183,9 +183,9 @@ def combined_profile(lam: float, c: float) -> LambdaProfile:
     pole, so the pole is never evaluated.
     """
     if lam < 1.0:
-        raise LambdaBelowOneError("combined profile defined for lam >= 1")
+        raise ValueError("combined profile defined for lam >= 1")
     if c < 0:
-        raise DomainError("oscillation must be >= 0")
+        raise ValueError("oscillation must be >= 0")
     # branch crossover in closed form: equating the two routes at u = e^{-2t}
     # gives u* = 1 - e^c / (lam (1 + e^c)), always inside (0, 1) and strictly
     # before the curvature pole
@@ -255,7 +255,7 @@ def lipschitz_from_profile(profile: LambdaProfile) -> float:
     """
     a = profile.valid_from
     if not np.isfinite(profile(a)):
-        raise NonIntegrableError("profile diverges at its left endpoint")
+        raise HeatflowError("profile diverges at its left endpoint")
     t_cut = T_CUT
     if profile.switch_point is not None:
         t_cut = max(t_cut, profile.switch_point + 1.0)
@@ -267,13 +267,13 @@ def lipschitz_from_profile(profile: LambdaProfile) -> float:
     if profile.closed_tail is not None:
         tail = profile.closed_tail(t_cut)
     elif float(profile(t_cut)) * 0.5 > 1e-8:
-        raise NonIntegrableError(
+        raise HeatflowError(
             "profile tail beyond t_cut is not negligible and has no closed form"
         )
     else:
         tail = 0.0
     if not np.isfinite(total) or not np.isfinite(tail):
-        raise NonIntegrableError("profile integral diverged")
+        raise HeatflowError("profile integral diverged")
     return float(np.exp(total + tail))
 
 

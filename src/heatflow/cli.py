@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from . import __version__, bounds, diagnostics, potentials
-from .errors import BadParamsError, HeatflowError
+from .errors import HeatflowError
 from .flow import FlowIntegrator
 from .potentials import GridSpec, from_config, validate_metadata
 from .quadrature import QuadratureScheme
@@ -35,10 +35,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 QUICK_SCALE = 0.1          # node/sample counts multiplied by this under --quick
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -97,7 +93,7 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
 
 
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
@@ -123,20 +119,19 @@ def _potential_dim(pcfg: dict) -> int:
 
 def _potential_from(cfg: dict, scheme: QuadratureScheme):
     if "potential" not in cfg:
-        raise ConfigError("config needs a 'potential' entry")
+        raise ValueError("config needs a 'potential' entry")
     try:
         return from_config(cfg["potential"], scheme)
-    except (BadParamsError, KeyError, TypeError) as exc:
-        # malformed descriptions are config errors; other HeatflowErrors
-        # (divergent mass, coarse grids) surface as numeric failures
-        raise ConfigError(f"bad potential config: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        # a missing key or a value of the wrong shape is bad input too
+        raise ValueError(f"bad potential config: {exc}") from exc
 
 
 def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowIntegrator:
     fl = cfg.get("flow", {})
     method = fl.get("method", "rk4")
     if method != "rk4":
-        raise ConfigError(f"unknown flow method {method!r}; the stepper is 'rk4'")
+        raise ValueError(f"unknown flow method {method!r}; the stepper is 'rk4'")
     # built from the config's own values first, so they are validated
     # before --quick scales the step count
     fi = FlowIntegrator(evaluator, t_max=float(fl.get("t_max", FlowIntegrator.t_max)),
@@ -206,7 +201,7 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
 
 def run_bound(cfg: dict, out: Path, quick: bool) -> int:
     if "lambda" not in cfg:
-        raise ConfigError("bound command needs 'lambda'")
+        raise ValueError("bound command needs 'lambda'")
     lam = float(cfg["lambda"])
     c = float(cfg.get("c", 0.0))
     payload: dict = {"command": "bound", "lambda": lam, "c": c,
@@ -229,11 +224,11 @@ def run_bound(cfg: dict, out: Path, quick: bool) -> int:
 
 def run_profile(cfg: dict, out: Path, quick: bool) -> int:
     if "lambda" not in cfg:
-        raise ConfigError("profile command needs 'lambda'")
+        raise ValueError("profile command needs 'lambda'")
     lam = float(cfg["lambda"])
     c = float(cfg.get("c", 0.0))
     if lam < 1.0:
-        raise ConfigError("profile command needs lambda >= 1")
+        raise ValueError("profile command needs lambda >= 1")
     tg = cfg.get("t_grid", {})
     ts = np.linspace(float(tg.get("lo", 1e-3)), float(tg.get("hi", 6.0)),
                      int(tg.get("count", 601)))
@@ -273,7 +268,7 @@ def run_counterexample(cfg: dict, out: Path, quick: bool) -> int:
         _write_csv(out / "tail.csv", _provenance(cfg),
                    {"x": fit.xs, "log_tail": fit.log_tail})
     else:
-        raise ConfigError(f"unknown counterexample kind {kind!r}")
+        raise ValueError(f"unknown counterexample kind {kind!r}")
     _write_json(out / "report.json", payload)
     return EXIT_OK
 
@@ -441,13 +436,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg["seed"] = args.seed
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
-            raise ConfigError(
+            raise ValueError(
                 f"config command {declared!r} does not match {args.command!r}"
             )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.quick)
-    except (ConfigError, BadParamsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HeatflowError as exc:

@@ -17,12 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import erfcx, ndtr, ndtri
 
-from .errors import (
-    DuplicateInputsError,
-    EmptySamplesError,
-    QuadratureFailError,
-    TTooSmallError,
-)
+from .errors import HeatflowError
 from .potentials import Potential, vt_counterexample
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -66,6 +61,7 @@ class TargetCdf:
     Lebesgue density on [-12, 12], each end widened by 4 until the density
     there is below 1e-15, and renormalized by the computed total mass, so
     it does not depend on the potential's own normalization constant.
+    Raises HeatflowError when that mass is not positive and finite.
     """
 
     def __init__(self, p: Potential):
@@ -86,7 +82,7 @@ class TargetCdf:
         cum = integrate.cumulative_simpson(dens, x=xs, initial=0.0)
         self.total_mass = float(cum[-1])
         if not np.isfinite(self.total_mass) or self.total_mass <= 0:
-            raise QuadratureFailError("target mass is not positive-finite")
+            raise HeatflowError("target mass is not positive-finite")
         self.lo, self.hi = lo, hi
         self._interp = PchipInterpolator(xs, cum / self.total_mass)
 
@@ -134,7 +130,7 @@ def ks_distance(samples: np.ndarray, p: Potential) -> float:
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise EmptySamplesError("no samples provided")
+        raise ValueError("no samples provided")
     if samples.ndim == 1:
         samples = samples[:, None]
     if p.dim == 1:
@@ -186,7 +182,7 @@ def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLip
         outputs = outputs[:, None]
     n = inputs.shape[0]
     if n < 2:
-        raise EmptySamplesError("need at least two pairs")
+        raise ValueError("need at least two pairs")
 
     if n <= LIPSCHITZ_MAX_EXACT:
         ii, jj = np.triu_indices(n, k=1)
@@ -206,7 +202,7 @@ def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLip
     good = din > 0
     skipped = int(np.sum(~good))
     if not np.any(good):
-        raise DuplicateInputsError("every sampled pair had coincident inputs")
+        raise ValueError("every sampled pair had coincident inputs")
     ratio = float(np.max(dout[good] / din[good]))
     return EmpiricalLipschitz(ratio, int(np.sum(good)), skipped)
 
@@ -332,14 +328,14 @@ def vt_counterexample_check(T: float, l: float | None = None) -> VtCheck:
         mass += val
         mass_err += err
     if mass_err > 1e-9:
-        raise QuadratureFailError("spike-family mass quadrature too inaccurate")
+        raise HeatflowError("spike-family mass quadrature too inaccurate")
     c_T = float(-np.log(mass))
 
     tail = (integrate.quad(dens0, T, hi, limit=300, epsabs=1e-14)[0]
             + integrate.quad(dens0, hi, np.inf, epsabs=1e-14)[0])
     mu_tail = float(np.exp(c_T) * tail)
     if mu_tail > 0.5:
-        raise TTooSmallError(
+        raise ValueError(
             "tail mass above 1/2: the isoperimetric inequality needs "
             "mu([T, inf)) <= 1/2; increase T"
         )
@@ -398,7 +394,7 @@ def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
     for i, x in enumerate(xs):
         tails[i] = quad_segmented(x, np.inf) / total
         if not np.isfinite(tails[i]) or tails[i] <= 0:
-            raise QuadratureFailError(f"tail mass at x={x} not positive-finite")
+            raise HeatflowError(f"tail mass at x={x} not positive-finite")
     log_tail = np.log(tails)
     A1 = np.vstack([np.ones_like(xs), xs]).T
     (_, b1), *_ = np.linalg.lstsq(A1, log_tail, rcond=None)[:1]

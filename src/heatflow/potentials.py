@@ -20,13 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParamsError,
-    DimensionTooHighError,
-    GridTooCoarseError,
-    LambdaTooLargeError,
-    NonIntegrableError,
-)
+from .errors import HeatflowError
 from .quadrature import (
     GH_TENSOR_DIM_MAX,
     QuadratureScheme,
@@ -223,14 +217,19 @@ def validate_metadata(p: Potential, grid: GridSpec) -> ValidationReport:
 
 
 def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
-    """(log integral of e^{-V} dgamma, achieved relative tolerance)."""
+    """(log integral of e^{-V} dgamma, achieved relative tolerance).
+
+    Raises ValueError for a Gauss-Hermite scheme above GH_TENSOR_DIM_MAX
+    and HeatflowError when the mass estimate diverges, vanishes or is not
+    finite.
+    """
     if scheme.kind == "monte_carlo":
         val = gaussian_expectation_mc(lambda z: p.density(z), scheme)
         if not np.isfinite(val) or val <= 0:
-            raise NonIntegrableError("Monte Carlo mass estimate not finite")
+            raise HeatflowError("Monte Carlo mass estimate not finite")
         return float(np.log(val)), 1.0 / np.sqrt(scheme.sample_count)
     if p.dim > GH_TENSOR_DIM_MAX:
-        raise DimensionTooHighError(
+        raise ValueError(
             "dim above Gauss-Hermite cap; supply a monte_carlo scheme"
         )
     res = gaussian_expectation_adaptive(
@@ -238,7 +237,7 @@ def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
         log_integrand=True,
     )
     if res.value <= 0:
-        raise NonIntegrableError("mass estimate vanished")
+        raise HeatflowError("mass estimate vanished")
     return float(np.log(res.value)), res.rel_change
 
 
@@ -261,7 +260,7 @@ def normalize(p: Potential, scheme: QuadratureScheme | None = None) -> Potential
 def gaussian(rho: float, dim: int = 1) -> Potential:
     """V(x) = rho |x|^2 / 2: target measure N(0, 1/(1+rho) Id); needs rho > -1."""
     if rho <= -1.0:
-        raise BadParamsError("gaussian family requires rho > -1 for integrability")
+        raise ValueError("gaussian family requires rho > -1 for integrability")
 
     def raw(x):
         return rho * np.sum(x * x, axis=-1) / 2.0
@@ -297,7 +296,7 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
     e^{-1/2} |height| / radius.
     """
     if radius <= 0:
-        raise BadParamsError("bump radius must be positive")
+        raise ValueError("bump radius must be positive")
     c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
     r2 = radius * radius
 
@@ -381,7 +380,7 @@ def vt_counterexample(T: float) -> Potential:
     D^2 V >= -128 everywhere.
     """
     if T <= 0:
-        raise BadParamsError("vt_counterexample requires T > 0")
+        raise ValueError("vt_counterexample requires T > 0")
     return _clipped_quadratic(
         15.0 * T / 16.0, 17.0 * T / 16.0, T, -128.0, T * T / 4.0,
         curvature_lower=128.0,
@@ -399,7 +398,7 @@ def sharpness(T: float, scale: float) -> Potential:
     propagation-domain boundary lam * (1 - e^{-2t}) = 1 for that t.
     """
     if T <= 0 or scale <= 0:
-        raise BadParamsError("sharpness requires T > 0 and scale > 0")
+        raise ValueError("sharpness requires T > 0 and scale > 0")
     return _clipped_quadratic(
         -T * scale, T * scale, 0.0, -1.0 / (scale * scale), 0.0,
         curvature_lower=1.0 / (scale * scale),
@@ -430,9 +429,9 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-        raise BadParamsError("tabulated potential needs matching 1-d grid/values")
+        raise ValueError("tabulated potential needs matching 1-d grid/values")
     if np.any(np.diff(grid) <= 0):
-        raise BadParamsError("tabulated grid must be strictly increasing")
+        raise ValueError("tabulated grid must be strictly increasing")
     slopes = np.diff(values) / np.diff(grid)
 
     def cell(t):
@@ -479,7 +478,7 @@ def mollify(p: Potential, sigma: float,
     over a finite window would certify nothing.
     """
     if sigma <= 0:
-        raise BadParamsError("mollify requires sigma > 0")
+        raise ValueError("mollify requires sigma > 0")
     if scheme is None:
         scheme = QuadratureScheme(dim=p.dim)
     nodes, w = scheme.nodes_weights()  # (K, dim), (K,)
@@ -564,13 +563,13 @@ def lipschitz_regularize(
     min_{y>x}(V(y) + l y) - l x), one prefix and one suffix minimum (the 1-d
     distance transform).  The result is stored as a piecewise-linear table
     whose chord slopes are bounded by l by construction.  A doubled y-grid
-    must agree with the first pass within grid_tol, else GridTooCoarseError.
+    must agree with the first pass within grid_tol, else HeatflowError.
     Only dim 1 is supported.
     """
     if l < 0 or r <= 0:
-        raise BadParamsError("need l >= 0 and r > 0")
+        raise ValueError("need l >= 0 and r > 0")
     if p.dim != 1:
-        raise DimensionTooHighError("inf-convolution envelope implemented for dim 1")
+        raise ValueError("inf-convolution envelope implemented for dim 1")
 
     span = r + EVAL_PAD
     xs = np.linspace(-span, span, max(int(2 * span * EVAL_POINTS_PER_UNIT) + 1, 801))
@@ -597,7 +596,7 @@ def lipschitz_regularize(
     env_fine = envelope(2 * points_per_axis)
     drift = float(np.max(np.abs(env - env_fine)))
     if drift > grid_tol:
-        raise GridTooCoarseError(
+        raise HeatflowError(
             f"envelope moved {drift:.3e} under grid refinement (tol {grid_tol:.1e})"
         )
 
@@ -625,7 +624,7 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
     """
     lam = p.curvature_lower
     if lam is None or lam >= 1.0:
-        raise LambdaTooLargeError(
+        raise ValueError(
             "dilation reduction needs declared curvature_lower < 1"
         )
     if lam == 0.0:
@@ -670,11 +669,11 @@ _FAMILIES = {
 
 def from_family(tag: str, params: dict | None = None) -> Potential:
     if tag not in _FAMILIES:
-        raise BadParamsError(f"unknown potential family {tag!r}")
+        raise ValueError(f"unknown potential family {tag!r}")
     try:
         return _FAMILIES[tag](**(params or {}))
     except TypeError as exc:
-        raise BadParamsError(f"bad parameters for family {tag!r}: {exc}") from exc
+        raise ValueError(f"bad parameters for family {tag!r}: {exc}") from exc
 
 
 def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
@@ -693,7 +692,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
         pot = tabulated(np.asarray(tab["grid"], dtype=float),
                         np.asarray(tab["values"], dtype=float))
     else:
-        raise BadParamsError("potential config needs 'family' or 'table'")
+        raise ValueError("potential config needs 'family' or 'table'")
 
     overrides = {}
     for key in ("curvature_lower", "oscillation", "grad_sup_norm"):
@@ -711,7 +710,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
             pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]),
                                        scheme=scheme, **kwargs)
         else:
-            raise BadParamsError(f"unknown transform {op!r}")
+            raise ValueError(f"unknown transform {op!r}")
 
     if cfg.get("normalize", True):
         pot = normalize(pot, scheme)

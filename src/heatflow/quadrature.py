@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .errors import DimensionTooHighError, NonIntegrableError
+from .errors import HeatflowError
 
 GH_TENSOR_DIM_MAX = 3
 ADAPTIVE_REL_TOL = 1e-10
@@ -75,7 +75,7 @@ class QuadratureScheme:
         """Return (nodes (K, dim), weights (K,)) with weights summing to 1."""
         if self.kind == "gauss_hermite":
             if self.dim > GH_TENSOR_DIM_MAX:
-                raise DimensionTooHighError(
+                raise ValueError(
                     f"tensorized Gauss-Hermite capped at dim {GH_TENSOR_DIM_MAX}; "
                     "use a monte_carlo scheme"
                 )
@@ -108,14 +108,14 @@ def gaussian_expectation_adaptive(
     log g and the sum is taken with a max-shift so integrands spanning
     hundreds of orders of magnitude stay finite.
 
-    Raises NonIntegrableError when the estimates keep growing by large
+    Raises HeatflowError when the estimates keep growing by large
     factors across refinements, the signature of a divergent integral.
     If the sequence is stable but has not met ADAPTIVE_REL_TOL at
     ADAPTIVE_MAX_NODES, the last estimate is returned with converged=False
     and the achieved relative change recorded.
     """
     if dim > GH_TENSOR_DIM_MAX:
-        raise DimensionTooHighError(
+        raise ValueError(
             f"adaptive Gauss-Hermite capped at dim {GH_TENSOR_DIM_MAX}"
         )
 
@@ -139,13 +139,13 @@ def gaussian_expectation_adaptive(
         n *= 2
         cur = estimate(n)
         if not np.isfinite(cur):
-            raise NonIntegrableError("quadrature estimate overflowed")
+            raise HeatflowError("quadrature estimate overflowed")
         denom = max(abs(cur), 1e-300)
         rel = abs(cur - prev) / denom
         if cur > 2.0 * abs(prev) + 1e-300:
             growth_streak += 1
             if growth_streak >= 3:
-                raise NonIntegrableError(
+                raise HeatflowError(
                     "estimates grow without stabilizing across refinements"
                 )
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DensityUnderflowError, HermiteAtTimeZeroError
+from .errors import DensityUnderflowError
 from .potentials import Potential, sym_eig_bounds
 from .quadrature import QuadratureScheme
 
@@ -138,7 +138,7 @@ class SemigroupEvaluator:
         if hess_route not in (None, "commute", "hermite"):
             raise ValueError(f"unknown hessian route {hess_route!r}")
         if hess_route == "hermite" and t <= 0.0:
-            raise HermiteAtTimeZeroError("hermite route requires t > 0")
+            raise ValueError("hermite route requires t > 0")
         if t < 0:
             raise ValueError("time must be nonnegative")
         if t == 0.0:
