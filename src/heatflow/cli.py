@@ -3,8 +3,11 @@
     heatflow transport|bound|profile|verify|counterexample \
         --config job.json --out outdir [--quick] [--seed N]
 
-Exit codes: 0 success, 1 invariant failure (verify), 2 config error,
-3 numeric failure.  Valid JSON never produces a traceback.
+Exit codes: 0 success, 1 invariant failure (verify), 2 config error
+(ValueError), 3 numeric failure (HeatflowError).  Valid JSON never
+produces a traceback: an unknown key, a number given as a string, a
+boolean, NaN or Infinity, or a flag that is not a JSON boolean is a
+config error.
 
 Every output file carries the resolved config in its header, floats are
 written with 17 significant digits, and nothing time- or host-dependent
@@ -25,7 +28,8 @@ from scipy import integrate
 from . import __version__, bounds, diagnostics, potentials
 from .errors import HeatflowError
 from .flow import FlowIntegrator
-from .potentials import GridSpec, from_config, validate_metadata
+from .potentials import (GridSpec, check_keys, from_config, json_flag, json_number,
+                         validate_metadata)
 from .quadrature import QuadratureScheme
 from .semigroup import SemigroupEvaluator, concavity_profile
 
@@ -35,6 +39,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 QUICK_SCALE = 0.1          # node/sample counts multiplied by this under --quick
+# top-level keys every command takes: --seed writes "seed" into any config
+COMMON_KEYS = ("command", "seed")
 
 
 def _fmt(x) -> str:
@@ -91,15 +97,19 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     sc = cfg.get("scheme", {})
-    node_count = int(sc.get("node_count", QuadratureScheme.node_count))
-    sample_count = int(sc.get("sample_count", QuadratureScheme.sample_count))
+    check_keys(sc, ("kind", "node_count", "sample_count", "seed"), "scheme")
+    node_count = int(json_number(sc, "node_count", QuadratureScheme.node_count))
+    sample_count = int(json_number(sc, "sample_count", QuadratureScheme.sample_count))
     if quick:
         node_count = max(8, int(node_count * QUICK_SCALE))
         sample_count = max(1000, int(sample_count * QUICK_SCALE))
@@ -108,20 +118,20 @@ def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
         kind=sc.get("kind", QuadratureScheme.kind),
         node_count=node_count,
         sample_count=sample_count,
-        seed=int(sc.get("seed", QuadratureScheme.seed)),
+        seed=int(json_number(sc, "seed", QuadratureScheme.seed)),
     )
 
 
 def _potential_dim(pcfg: dict) -> int:
-    """Dimension of a potential config, needed to build the scheme first."""
-    return int(pcfg.get("params", {}).get("dim", 1))
+    """Dimension of a potential config, needed to build the scheme first
+    (from_config checks the rest of the config)."""
+    params = pcfg.get("params") if isinstance(pcfg, dict) else None
+    return int(json_number(params, "dim", 1)) if isinstance(params, dict) else 1
 
 
-def _potential_from(cfg: dict, scheme: QuadratureScheme):
-    if "potential" not in cfg:
-        raise ValueError("config needs a 'potential' entry")
+def _potential_from(pcfg: dict, scheme: QuadratureScheme):
     try:
-        return from_config(cfg["potential"], scheme)
+        return from_config(pcfg, scheme)
     except (KeyError, TypeError) as exc:
         # a missing key or a value of the wrong shape is bad input too
         raise ValueError(f"bad potential config: {exc}") from exc
@@ -129,13 +139,15 @@ def _potential_from(cfg: dict, scheme: QuadratureScheme):
 
 def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowIntegrator:
     fl = cfg.get("flow", {})
+    check_keys(fl, ("method", "t_max", "n_steps"), "flow")
     method = fl.get("method", "rk4")
     if method != "rk4":
         raise ValueError(f"unknown flow method {method!r}; the stepper is 'rk4'")
     # built from the config's own values first, so they are validated
     # before --quick scales the step count
-    fi = FlowIntegrator(evaluator, t_max=float(fl.get("t_max", FlowIntegrator.t_max)),
-                        n_steps=int(fl.get("n_steps", FlowIntegrator.n_steps)))
+    fi = FlowIntegrator(evaluator,
+                        t_max=float(json_number(fl, "t_max", FlowIntegrator.t_max)),
+                        n_steps=int(json_number(fl, "n_steps", FlowIntegrator.n_steps)))
     if quick:
         fi = dataclasses.replace(fi, n_steps=max(40, fi.n_steps // 10))
     return fi
@@ -145,15 +157,19 @@ def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowInt
 
 
 def run_transport(cfg: dict, out: Path, quick: bool) -> int:
-    count = int(cfg.get("samples", 10_000))
+    check_keys(cfg, COMMON_KEYS + ("potential", "scheme", "flow", "samples",
+                                   "with_jacobian"), "transport config")
+    if "potential" not in cfg:
+        raise ValueError("config needs a 'potential' entry")
+    count = int(json_number(cfg, "samples", 10_000))
     if quick:
         count = max(100, count // 10)
     seed = int(cfg.get("seed", 0))
-    scheme = _scheme_from(cfg, _potential_dim(cfg.get("potential", {})), quick)
-    pot = _potential_from(cfg, scheme)
+    scheme = _scheme_from(cfg, _potential_dim(cfg["potential"]), quick)
+    pot = _potential_from(cfg["potential"], scheme)
     ev = SemigroupEvaluator(pot, scheme)
     fi = _flow_from(cfg, ev, quick)
-    with_jac = bool(cfg.get("with_jacobian", True))
+    with_jac = json_flag(cfg, "with_jacobian", True)
 
     ps = fi.pushforward_samples(count, seed, with_jacobian=with_jac)
     header = _provenance(cfg) | {"seed": seed, "samples": count}
@@ -200,10 +216,11 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
 
 
 def run_bound(cfg: dict, out: Path, quick: bool) -> int:
+    check_keys(cfg, COMMON_KEYS + ("lambda", "c"), "bound config")
     if "lambda" not in cfg:
         raise ValueError("bound command needs 'lambda'")
-    lam = float(cfg["lambda"])
-    c = float(cfg.get("c", 0.0))
+    lam = float(json_number(cfg, "lambda"))
+    c = float(json_number(cfg, "c", 0.0))
     payload: dict = {"command": "bound", "lambda": lam, "c": c,
                      "provenance": _provenance(cfg)}
     if lam < 1.0:
@@ -223,15 +240,17 @@ def run_bound(cfg: dict, out: Path, quick: bool) -> int:
 
 
 def run_profile(cfg: dict, out: Path, quick: bool) -> int:
+    check_keys(cfg, COMMON_KEYS + ("lambda", "c", "t_grid"), "profile config")
     if "lambda" not in cfg:
         raise ValueError("profile command needs 'lambda'")
-    lam = float(cfg["lambda"])
-    c = float(cfg.get("c", 0.0))
+    lam = float(json_number(cfg, "lambda"))
+    c = float(json_number(cfg, "c", 0.0))
     if lam < 1.0:
         raise ValueError("profile command needs lambda >= 1")
     tg = cfg.get("t_grid", {})
-    ts = np.linspace(float(tg.get("lo", 1e-3)), float(tg.get("hi", 6.0)),
-                     int(tg.get("count", 601)))
+    check_keys(tg, ("lo", "hi", "count"), "t_grid")
+    ts = np.linspace(float(json_number(tg, "lo", 1e-3)), float(json_number(tg, "hi", 6.0)),
+                     int(json_number(tg, "count", 601)))
     table = bounds.profile_table(lam, c, ts)
     _write_csv(out / "profile.csv", _provenance(cfg), table)
     s = bounds.bound_summary(lam, c)
@@ -245,19 +264,24 @@ def run_counterexample(cfg: dict, out: Path, quick: bool) -> int:
     payload: dict = {"command": "counterexample", "kind": kind,
                      "provenance": _provenance(cfg)}
     if kind == "vt":
-        chk = diagnostics.vt_counterexample_check(float(cfg.get("T", 6.0)),
-                                                  cfg.get("l"))
+        check_keys(cfg, COMMON_KEYS + ("kind", "T", "l"), "vt counterexample config")
+        chk = diagnostics.vt_counterexample_check(
+            float(json_number(cfg, "T", 6.0)), json_number(cfg, "l") if "l" in cfg else None)
         payload |= dataclasses.asdict(chk)
     elif kind == "sharpness":
-        chk = diagnostics.sharpness_curvature_check(float(cfg.get("T", 20.0)),
-                                                    float(cfg.get("t", 0.5)))
+        check_keys(cfg, COMMON_KEYS + ("kind", "T", "t"), "sharpness counterexample config")
+        chk = diagnostics.sharpness_curvature_check(float(json_number(cfg, "T", 20.0)),
+                                                    float(json_number(cfg, "t", 0.5)))
         payload |= dataclasses.asdict(chk)
         payload["ratio"] = chk.ratio
     elif kind == "linear_tail":
+        check_keys(cfg, COMMON_KEYS + ("kind", "x_lo", "x_hi", "points"),
+                   "linear_tail counterexample config")
         scheme = QuadratureScheme(dim=1)
         pot = potentials.normalize(potentials.linear_tail(), scheme)
-        xs = np.linspace(float(cfg.get("x_lo", 2.0)), float(cfg.get("x_hi", 6.0)),
-                         int(cfg.get("points", 17)))
+        xs = np.linspace(float(json_number(cfg, "x_lo", 2.0)),
+                         float(json_number(cfg, "x_hi", 6.0)),
+                         int(json_number(cfg, "points", 17)))
         fit = diagnostics.tail_test(pot, xs)
         payload |= {
             "linear_slope": fit.linear_slope,
@@ -337,9 +361,12 @@ def drift_bound_checks(ev: SemigroupEvaluator, points: np.ndarray, ts) -> list[d
 
 
 def _verify_potential_job(job: dict, quick: bool) -> list[dict]:
+    """The checks of one job: a potential config plus an optional scheme."""
+    if not isinstance(job, dict):
+        raise ValueError(f"verify job must be a JSON object, got {job!r}")
     dim = _potential_dim(job)
-    scheme = _scheme_from({"scheme": job.get("scheme", {})}, dim, quick)
-    pot = from_config(job, scheme)
+    scheme = _scheme_from(job, dim, quick)
+    pot = _potential_from({k: v for k, v in job.items() if k != "scheme"}, scheme)
     ev = SemigroupEvaluator(pot, scheme)
     grid = GridSpec(-4.0, 4.0, 21 if quick else 41, dim)
 
@@ -383,11 +410,14 @@ def _verify_global_checks(quick: bool) -> list[dict]:
 
 
 def run_verify(cfg: dict, out: Path, quick: bool) -> int:
+    check_keys(cfg, COMMON_KEYS + ("jobs",), "verify config")
     jobs = cfg.get("jobs")
     checks: list[dict] = []
     if jobs is None:
         checks.extend(_verify_global_checks(quick))
         jobs = DEFAULT_VERIFY_JOBS
+    elif not isinstance(jobs, list):
+        raise ValueError(f"'jobs' must be a JSON list, got {jobs!r}")
     for job in jobs:
         checks.extend(_verify_potential_job(job, quick))
     n_fail = sum(1 for c in checks if not c["pass"])
@@ -434,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        json_number(cfg, "seed", 0)     # a COMMON_KEYS number, whether read or not
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ValueError(

@@ -237,7 +237,9 @@ class FlowIntegrator:
         """Map `count` gamma-samples drawn from `seed` through the transport.
 
         Deterministic for fixed (count, seed) and independent of `chunk`;
-        per-sample failures are flagged by index, never dropped.
+        per-sample failures are flagged by index, never dropped.  The run
+        is certified only with a truncation bound and no failed sample: a
+        failed sample comes back at its input, not within the bound of T(y).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -255,5 +257,6 @@ class FlowIntegrator:
             if with_jacobian:
                 norms[lo:hi] = np.linalg.svd(J, compute_uv=False)[..., 0]
         bound = self.truncation_error_bound()
-        return PushforwardSamples(inputs, outputs, norms, bound, bound is not None,
+        return PushforwardSamples(inputs, outputs, norms, bound,
+                                  bound is not None and not failed.any(),
                                   np.flatnonzero(failed))

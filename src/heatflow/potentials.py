@@ -15,6 +15,7 @@ differences with step 1e-4 * (1 + |x|) when no analytic form is given.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -656,6 +657,42 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
 
 
 # -- JSON configuration -----------------------------------------------------
+#
+# The readers below check what a JSON config gives them: an unknown key, a
+# number written as a string, a boolean, NaN or Infinity, or a flag that is
+# not a JSON boolean raises ValueError, so a misspelt or retired key is
+# never ignored.
+
+
+def check_keys(cfg, allowed, where: str) -> None:
+    """Raise ValueError unless cfg is a JSON object with keys among `allowed`."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
+
+
+def json_number(cfg: dict, key: str, default=None):
+    """cfg[key], or `default` when given and the key is absent: a JSON
+    number or a list of them (KeyError when absent without a default).
+    JSON has no NaN or Infinity, so the literals Python's parser accepts
+    for them are rejected too."""
+    v = cfg[key] if default is None else cfg.get(key, default)
+    if any(isinstance(x, bool) or not isinstance(x, (int, float))
+           or (isinstance(x, float) and not math.isfinite(x))
+           for x in (v if isinstance(v, list) else [v])):
+        raise ValueError(f"{key!r} must be a JSON number, got {v!r}")
+    return v
+
+
+def json_flag(cfg: dict, key: str, default: bool) -> bool:
+    """cfg[key], or `default` when absent: a JSON boolean."""
+    v = cfg.get(key, default)
+    if not isinstance(v, bool):
+        raise ValueError(f"{key!r} must be true or false, got {v!r}")
+    return v
+
 
 _FAMILIES = {
     "gaussian": gaussian,
@@ -665,6 +702,10 @@ _FAMILIES = {
     "vt_counterexample": vt_counterexample,
     "sharpness": sharpness,
 }
+_METADATA_KEYS = ("curvature_lower", "oscillation", "grad_sup_norm")
+# each transform op's number keys, besides "op"
+_TRANSFORM_KEYS = {"mollify": ("sigma",),
+                   "lipschitz_regularize": ("l", "r", "points_per_axis", "grid_tol")}
 
 
 def from_family(tag: str, params: dict | None = None) -> Potential:
@@ -683,35 +724,46 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
     with optional metadata overrides (curvature_lower, oscillation,
     grad_sup_norm), an optional "transforms" list applied in order
     ({"op": "mollify", "sigma": s} | {"op": "lipschitz_regularize", "l": .., "r": ..}),
-    and "normalize": false to skip the final normalization.
+    and "normalize": false to skip the final normalization.  A key outside
+    this schema, at any level, raises ValueError, as does a parameter or
+    number that is not a JSON number.
     """
+    source = ("family", "params") if "family" in cfg else ("table",)
+    check_keys(cfg, source + _METADATA_KEYS + ("transforms", "normalize"),
+               "potential config")
     if "family" in cfg:
-        pot = from_family(cfg["family"], cfg.get("params"))
+        params = cfg.get("params") or {}
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
+        for key in params:                 # the family's signature checks the names
+            json_number(params, key)
+        pot = from_family(cfg["family"], params)
     elif "table" in cfg:
         tab = cfg["table"]
-        pot = tabulated(np.asarray(tab["grid"], dtype=float),
-                        np.asarray(tab["values"], dtype=float))
+        check_keys(tab, ("grid", "values"), "table")
+        pot = tabulated(np.asarray(json_number(tab, "grid"), dtype=float),
+                        np.asarray(json_number(tab, "values"), dtype=float))
     else:
         raise ValueError("potential config needs 'family' or 'table'")
 
-    overrides = {}
-    for key in ("curvature_lower", "oscillation", "grad_sup_norm"):
-        if key in cfg:
-            overrides[key] = cfg[key]
+    overrides = {key: json_number(cfg, key) for key in _METADATA_KEYS if key in cfg}
     if overrides:
         pot = dataclasses.replace(pot, **overrides)
 
     for tr in cfg.get("transforms", []):
-        op = tr.get("op")
+        op = tr.get("op") if isinstance(tr, dict) else None
+        if op not in _TRANSFORM_KEYS:
+            raise ValueError(f"unknown transform {op!r}")
+        check_keys(tr, ("op",) + _TRANSFORM_KEYS[op], f"{op} transform")
+        for key in tr.keys() - {"op"}:
+            json_number(tr, key)
         if op == "mollify":
             pot = mollify(pot, float(tr["sigma"]), scheme)
-        elif op == "lipschitz_regularize":
+        else:
             kwargs = {k: tr[k] for k in ("points_per_axis", "grid_tol") if k in tr}
             pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]),
                                        scheme=scheme, **kwargs)
-        else:
-            raise ValueError(f"unknown transform {op!r}")
 
-    if cfg.get("normalize", True):
+    if json_flag(cfg, "normalize", True):
         pot = normalize(pot, scheme)
     return pot

@@ -175,10 +175,12 @@ def test_transport_single_sample_writes_summary(tmp_path):
 
 
 def test_transport_all_samples_failed_writes_summary(tmp_path):
-    # e^{-800} is below the density floor everywhere, so every row fails
+    # e^{-800} is below the density floor everywhere, so every row fails;
+    # a declared gradient bound gives a truncation bound, but a failed
+    # sample is not within it, so the run is not certified
     cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
         "potential": {"table": {"grid": [-1.0, 1.0], "values": [800.0, 800.0]},
-                      "normalize": False},
+                      "normalize": False, "grad_sup_norm": 0.0},
         "samples": 5,
     })
     out = tmp_path / "out"
@@ -186,6 +188,7 @@ def test_transport_all_samples_failed_writes_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed_samples"] == [0, 1, 2, 3, 4]
     assert summary["pass"] is False
+    assert summary["error_bound"] == 0.0 and summary["certified"] is False
     assert summary["ks"] is None and summary["empirical_lipschitz"] is None
 
 
@@ -288,6 +291,39 @@ def test_invalid_counterexample_params_config_error(tmp_path):
         "command": "counterexample", "kind": "vt", "T": -1.0,
     })
     assert cli.main(["counterexample", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+GAUSSIAN = {"family": "gaussian", "params": {"rho": 1.0}}
+
+# bad input of every kind exits 2: values out of range, a dimension above
+# the Gauss-Hermite cap, a malformed verify job, unknown keys, a string
+# where a flag or a number belongs, and the NaN literal json.load accepts
+CONFIG_ERRORS = {
+    "bound_negative_c": {"command": "bound", "lambda": 2.0, "c": -1.0},
+    "profile_negative_c": {"command": "profile", "lambda": 2.0, "c": -0.5},
+    "gauss_hermite_4d": {
+        "command": "transport", "samples": 3,
+        "potential": {"family": "gaussian", "params": {"rho": 1.0, "dim": 4}}},
+    "verify_job_without_grid": {"command": "verify", "jobs": [{"table": {}}]},
+    "unknown_and_string_keys": {
+        "command": "transport", "potential": GAUSSIAN, "samples": 3,
+        "flow": {"nsteps": 1}, "map_table": True, "with_jacobian": "false"},
+    "unknown_flow_key": {"command": "transport", "potential": GAUSSIAN,
+                         "flow": {"nsteps": 1}},
+    "string_flag": {"command": "transport", "potential": GAUSSIAN,
+                    "with_jacobian": "false"},
+    "string_number": {"command": "counterexample", "kind": "vt", "T": 6.0, "l": "50"},
+    "nan_number": {"command": "bound", "lambda": float("nan")},
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_config_error_exit_code(name, tmp_path, capsys):
+    cfg = CONFIG_ERRORS[name]
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert cli.main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -445,3 +445,27 @@ def test_from_config_transforms():
 def test_from_config_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown potential family 'nope'"):
         hf.from_config({"family": "nope"})
+
+
+@pytest.mark.parametrize("cfg,match", [
+    ({"family": "gaussian", "params": {"rho": 1.0}, "normalise": False},
+     r"unknown potential config keys \['normalise'\]"),
+    ({"family": "gaussian", "table": {"grid": [0, 1], "values": [0, 0]}},
+     r"unknown potential config keys \['table'\]"),
+    ({"table": {"grid": [0, 1], "values": [0, 0], "kind": "linear"}},
+     r"unknown table keys \['kind'\]"),
+    ({"family": "bump", "transforms": [{"op": "mollify", "sigma": 0.5, "n": 8}]},
+     r"unknown mollify transform keys \['n'\]"),
+    ({"family": "linear_tail", "transforms": [{"op": "lipschitz_regularize",
+                                                "l": 1.0, "r": 6.0, "tol": 1.0}]},
+     r"unknown lipschitz_regularize transform keys \['tol'\]"),
+    ({"family": "gaussian", "params": {"rho": "1"}}, "'rho' must be a JSON number"),
+    ({"table": {"grid": ["0", "1"], "values": [0, 0]}}, "'grid' must be a JSON number"),
+    ({"family": "gaussian", "params": {"rho": 1.0}, "grad_sup_norm": True},
+     "'grad_sup_norm' must be a JSON number"),
+    ({"family": "gaussian", "params": {"rho": 1.0}, "normalize": "false"},
+     "'normalize' must be true or false"),
+])
+def test_from_config_rejects_unknown_keys_and_non_json_types(cfg, match):
+    with pytest.raises(ValueError, match=match):
+        hf.from_config(cfg)
