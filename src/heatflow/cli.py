@@ -108,18 +108,20 @@ def _load_config(path: str | None) -> dict:
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     sc = cfg.get("scheme", {})
     check_keys(sc, ("kind", "node_count", "sample_count", "seed"), "scheme")
-    node_count = int(json_number(sc, "node_count", QuadratureScheme.node_count))
-    sample_count = int(json_number(sc, "sample_count", QuadratureScheme.sample_count))
-    if quick:
-        node_count = max(8, int(node_count * QUICK_SCALE))
-        sample_count = max(1000, int(sample_count * QUICK_SCALE))
-    return QuadratureScheme(
+    # built from the config's own values first, so they are validated
+    # before --quick scales the counts
+    scheme = QuadratureScheme(
         dim=dim,
         kind=sc.get("kind", QuadratureScheme.kind),
-        node_count=node_count,
-        sample_count=sample_count,
+        node_count=int(json_number(sc, "node_count", QuadratureScheme.node_count)),
+        sample_count=int(json_number(sc, "sample_count", QuadratureScheme.sample_count)),
         seed=int(json_number(sc, "seed", QuadratureScheme.seed)),
     )
+    if quick:
+        scheme = dataclasses.replace(
+            scheme, node_count=max(8, int(scheme.node_count * QUICK_SCALE)),
+            sample_count=max(1000, int(scheme.sample_count * QUICK_SCALE)))
+    return scheme
 
 
 def _potential_dim(pcfg: dict) -> int:
@@ -162,6 +164,8 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
     if "potential" not in cfg:
         raise ValueError("config needs a 'potential' entry")
     count = int(json_number(cfg, "samples", 10_000))
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     if quick:
         count = max(100, count // 10)
     seed = int(cfg.get("seed", 0))

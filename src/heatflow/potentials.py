@@ -426,17 +426,37 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
     and a Lipschitz table stays Lipschitz globally.  The Hessian of a
     piecewise linear interpolant is zero between knots; smoothed-Hessian
     routes that only sample V remain available at positive times.
+
+    The cell of t is clip(searchsorted(grid, t, "right") - 1, 0, n - 2).
+    On an evenly spaced grid (every knot within h/4 of grid[0] + i h) it is
+    found by arithmetic instead of a binary search: floor((t - grid[0])/h),
+    then one step up and one step down against the knots, which gives the
+    same cell for every float, NaN and +-inf included.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
         raise ValueError("tabulated potential needs matching 1-d grid/values")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise ValueError("tabulated grid and values must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("tabulated grid must be strictly increasing")
     slopes = np.diff(values) / np.diff(grid)
+    lo, hi, last = grid[0], grid[-1], grid.size - 2
+    h = (hi - lo) / (grid.size - 1)
 
-    def cell(t):
-        return np.clip(np.searchsorted(grid, t, side="right") - 1, 0, slopes.size - 1)
+    if np.isfinite(h) and np.max(np.abs(grid - (lo + np.arange(grid.size) * h))) <= h / 4:
+        def cell(t):
+            # every knot within h/4 of lo + i h puts the guess within one
+            # cell of the right one; NaN goes to the last cell, as
+            # searchsorted sorts it last
+            s = np.fmin(np.maximum(t, lo), hi)
+            i = np.minimum(((s - lo) / h).astype(np.intp), last)
+            i = np.minimum(i + (grid[i + 1] <= s), last)
+            return i - (grid[i] > s)
+    else:
+        def cell(t):
+            return np.clip(np.searchsorted(grid, t, side="right") - 1, 0, last)
 
     def value_grad(x):
         t = x[..., 0]

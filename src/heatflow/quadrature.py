@@ -70,6 +70,10 @@ class QuadratureScheme:
             raise ValueError("dim must be >= 1")
         if self.kind not in ("gauss_hermite", "monte_carlo"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
+        if self.node_count < 1:
+            raise ValueError("node count must be >= 1")
+        if self.sample_count < 1:
+            raise ValueError("sample count must be >= 1")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (nodes (K, dim), weights (K,)) with weights summing to 1."""

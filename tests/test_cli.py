@@ -278,6 +278,22 @@ def test_bad_flow_grid_config_error(tmp_path, flow, quick):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("quick", [False, True])
+@pytest.mark.parametrize("override,message", [
+    ({"scheme": {"node_count": 0}}, "node count must be >= 1"),
+    ({"scheme": {"kind": "monte_carlo", "sample_count": 0}}, "sample count must be >= 1"),
+    ({"samples": 0}, "samples must be >= 1"),
+], ids=["node_count", "sample_count", "samples"])
+def test_bad_count_config_error(tmp_path, capsys, override, message, quick):
+    # checked on the config's value, before --quick floors the counts
+    cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | override)
+    out = tmp_path / "out"
+    quick_flag = ["--quick"] if quick else []
+    assert cli.main(["transport", "--config", cfg, "--out", str(out), *quick_flag]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_bad_family_params_config_error(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {
         "command": "transport",

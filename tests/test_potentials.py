@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import heatflow as hf
@@ -384,6 +386,100 @@ def test_tabulated_interpolation_and_continuation():
                        rtol=1e-12, atol=1e-12)
     assert np.all(p.grad(below[:, None])[:, 0] == slopes[0])
     assert np.all(p.grad(above[:, None])[:, 0] == slopes[-1])
+
+
+def searchsorted_calls(fn):
+    """(number of np.searchsorted calls made while fn() runs, its result)"""
+    calls = []
+    real = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "searchsorted", counted)
+        out = fn()
+    return len(calls), out
+
+
+def assert_searchsorted_cell_rule(grid, seed):
+    """tabulated(grid) puts every probe point in the cell
+    clip(searchsorted(grid, t, "right") - 1, 0, n - 2) and evaluates that
+    cell's line bit for bit; returns the searchsorted calls it made."""
+    n = grid.size
+    # slopes 1, 2, ..., n - 1: distinct, so a gradient names its cell
+    values = np.concatenate([[0.0], np.cumsum(np.arange(1, n) * np.diff(grid))])
+    slopes = np.diff(values) / np.diff(grid)
+    assert np.unique(slopes).size == n - 1
+    p = hf.tabulated(grid, values)
+    span = grid[-1] - grid[0]
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        0.5 * (grid[:-1] + grid[1:]),
+        rng.uniform(grid[0] - span, grid[-1] + span, 200),
+        grid[0] - span * np.array([1e-9, 1.0, 1e6]), grid[-1] + span * np.array([1e-9, 1.0, 1e6]),
+        [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0],
+    ])
+    rng.shuffle(t)
+    x = t[:, None]
+    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, n - 2)
+    # the lookup alone: a RuntimeWarning here is an error (tier-1 setting)
+    calls, g = searchsorted_calls(lambda: p.grad(x))
+    assert np.array_equal(g[:, 0], slopes[i])
+    # the line itself overflows at +-1e308 and +-inf, in both rules alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = values[i] + slopes[i] * (t - grid[i])
+        v, g = p.value_and_grad(x)
+        assert np.array_equal(p.value(x), expect, equal_nan=True)
+    assert np.array_equal(v, expect, equal_nan=True)
+    assert np.array_equal(g[:, 0], slopes[i])
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_even_grid_lookup_matches_searchsorted(n, offset, log_span, seed):
+    grid = np.linspace(offset, offset + 10.0**log_span, n)
+    assert assert_searchsorted_cell_rule(grid, seed) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 2000), st.sampled_from(["sorted", "geometric"]),
+       st.integers(0, 2**32 - 1))
+def test_uneven_grid_keeps_searchsorted(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "geometric":
+        grid = np.geomspace(1e-3, 1e3, n) * rng.choice([-1.0, 1.0])
+        grid.sort()
+    else:
+        grid = np.unique(rng.uniform(-5.0, 5.0, n))
+    calls = assert_searchsorted_cell_rule(grid, seed)
+    if kind == "geometric":
+        assert calls >= 1
+
+
+def test_envelope_lookup_needs_no_searchsorted(regularized_linear_tail):
+    # the envelope table is a linspace, so its lookup is arithmetic
+    x = np.random.default_rng(6).normal(0.0, 5.0, (64, 16, 1))
+    p = regularized_linear_tail
+    assert searchsorted_calls(lambda: (p.value(x), p.grad(x), p.value_and_grad(x)))[0] == 0
+    geometric = hf.tabulated(np.geomspace(0.1, 100.0, 300), np.linspace(0.0, 1.0, 300))
+    assert searchsorted_calls(lambda: geometric.value_and_grad(x))[0] >= 1
+
+
+@pytest.mark.parametrize("grid,values", [
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+    ([-np.inf, 0.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 2.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf]),
+])
+def test_tabulated_rejects_non_finite(grid, values):
+    with pytest.raises(ValueError, match="must be finite"):
+        hf.tabulated(grid, values)
 
 
 def _fused_cases():
