@@ -24,6 +24,9 @@ from .errors import HeatflowError
 
 T_CUT = 20.0
 SIMPSON_MAX_DEPTH = 48
+# open intervals one refinement level may hold; a wider level means the
+# accept test cannot pass (a tolerance below rounding, a noisy integrand)
+SIMPSON_MAX_OPEN = 1 << 18
 
 
 def _curvature_route(lam: float, t):
@@ -130,6 +133,8 @@ def lipschitz_bound(lam: float, c: float) -> tuple[float, float]:
 class LambdaProfile:
     """A curvature budget t -> lam(t) with its integration metadata.
 
+    fn receives an array of times and returns the array of its values;
+    lipschitz_from_profile passes it whole refinement levels at once.
     valid_from: left end of the domain (0 unless the profile needs t > 0).
     closed_tail(t_cut): exact integral past t_cut, or None when the profile
     has no closed form there.
@@ -216,33 +221,70 @@ def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
-    """Recursive Simpson with interval halving to a relative tolerance.
+def _halves(lo, hi, split):
+    """lo and hi of the split intervals, interleaved: the children of the
+    k-th split interval sit at 2k and 2k + 1."""
+    return np.column_stack((lo[split], hi[split])).ravel()
 
-    The tolerance budget is split between halves at every level, so the
-    accumulated error over all leaves stays below rel_tol * |integral|;
-    an interval SIMPSON_MAX_DEPTH halvings deep is accepted as it is.
+
+def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
+    """Adaptive Simpson with interval halving to a relative tolerance.
+
+    f maps an array of abscissas to the array of its values.  Refinement is
+    level-synchronous: each depth makes one call of f on the new midpoints
+    of every interval still open, then applies the accept test to all of
+    them at once.  The tolerance budget is split between halves at every
+    level, so the accumulated error over all leaves stays below
+    rel_tol * |integral|; an interval SIMPSON_MAX_DEPTH halvings deep is
+    accepted as it is.  A split interval's two children stay adjacent and
+    the leaves are summed bottom-up as left + right, so the leaves, the
+    abscissas and the order of the sum are those of the depth-first
+    recursion.  A non-finite value of f raises HeatflowError, and so does a
+    level that would hold more than SIMPSON_MAX_OPEN intervals.
     """
     if b <= a:
         return 0.0
-    fa, fb = float(f(a)), float(f(b))
-    m = 0.5 * (a + b)
-    fm = float(f(m))
-    whole = _simpson(a, b, fa, fm, fb)
-    tol0 = rel_tol * max(abs(whole), 1e-12)
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+    def values(t):
+        y = np.asarray(f(t), dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise HeatflowError("integrand is not finite inside the window")
+        return y
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = values(np.array([a, m, b]))
+    whole = _simpson(a, b, fa, fm, fb)
+    # every interval of one depth has the same tolerance, so it stays a scalar
+    tol = rel_tol * max(abs(float(whole)), 1e-12)
+    # the open intervals of one depth, one array entry per interval
+    a, b, fa, fm, fb, whole = (np.atleast_1d(v) for v in (a, b, fa, fm, fb, whole))
+    levels = []  # per depth: (accepted value of each interval, split mask)
+    for depth in range(SIMPSON_MAX_DEPTH + 1):
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = float(f(lm)), float(f(rm))
+        flm, frm = np.split(values(np.concatenate((lm, rm))), 2)
         left = _simpson(a, m, fa, flm, fm)
         right = _simpson(m, b, fm, frm, fb)
-        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    return recurse(a, b, fa, fm, fb, whole, tol0, 0)
+        split = ~(np.abs(left + right - whole) <= 15.0 * tol)
+        if depth == SIMPSON_MAX_DEPTH:
+            split[:] = False
+        levels.append((left + right + (left + right - whole) / 15.0, split))
+        if not split.any():
+            break
+        if 2 * np.count_nonzero(split) > SIMPSON_MAX_OPEN:
+            raise HeatflowError(
+                f"adaptive Simpson does not converge: more than {SIMPSON_MAX_OPEN} "
+                f"open intervals at depth {depth + 1}")
+        a, b = _halves(a, m, split), _halves(m, b, split)
+        fa, fm, fb = _halves(fa, fm, split), _halves(flm, frm, split), _halves(fm, fb, split)
+        whole = _halves(left, right, split)
+        tol = tol / 2.0
+    below = None
+    for value, split in reversed(levels):
+        if below is not None:
+            value[split] = below[0::2] + below[1::2]
+        below = value
+    return float(below[0])
 
 
 def lipschitz_from_profile(profile: LambdaProfile) -> float:
@@ -263,7 +305,7 @@ def lipschitz_from_profile(profile: LambdaProfile) -> float:
     knots = [a] + pieces + [t_cut]
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        total += simpson_adaptive(lambda t: float(profile(t)), lo, hi)
+        total += simpson_adaptive(profile, lo, hi)
     if profile.closed_tail is not None:
         tail = profile.closed_tail(t_cut)
     elif float(profile(t_cut)) * 0.5 > 1e-8:

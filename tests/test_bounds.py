@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import heatflow as hf
+from heatflow import bounds
 from heatflow.bounds import (
+    SIMPSON_MAX_DEPTH,
     bound_summary,
     curvature_blowup_time,
     hessian_floor_profile,
@@ -245,6 +247,112 @@ def test_consistency_km_below_tight():
 def test_simpson_adaptive_on_smooth_integrand():
     val = simpson_adaptive(np.exp, 0.0, 1.0, rel_tol=1e-12)
     assert val == pytest.approx(np.e - 1.0, rel=1e-11)
+
+
+def _recursive_simpson(f, a, b, rel_tol=1e-10):
+    """The depth-first adaptive Simpson, one scalar call of f per abscissa:
+    the reference the level-synchronous version must match bit for bit."""
+    simpson = bounds._simpson
+    if b <= a:
+        return 0.0
+    fa, fb = float(f(a)), float(f(b))
+    m = 0.5 * (a + b)
+    fm = float(f(m))
+    whole = simpson(a, b, fa, fm, fb)
+    tol0 = rel_tol * max(abs(whole), 1e-12)
+
+    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = float(f(lm)), float(f(rm))
+        left = simpson(a, m, fa, flm, fm)
+        right = simpson(m, b, fm, frm, fb)
+        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
+                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
+
+    return recurse(a, b, fa, fm, fb, whole, tol0, 0)
+
+
+class _Recorder:
+    """Wraps an integrand; keeps every abscissa and the number of calls.
+
+    Given a budget, it fails once called more often than that, so a
+    per-point regression fails instead of running for hours; given
+    max_points, it fails on a wider array than that."""
+
+    def __init__(self, fn, budget=None, max_points=None):
+        self.fn, self.points, self.calls = fn, [], 0
+        self.budget, self.max_points = budget, max_points
+
+    def __call__(self, t):
+        self.calls += 1
+        assert self.budget is None or self.calls <= self.budget, "called once per point"
+        assert self.max_points is None or np.size(t) <= self.max_points, "level too wide"
+        self.points.extend(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        return self.fn(t)
+
+
+def _jump(t):
+    return np.where(np.asarray(t) < 1.0 / 3.0, 0.0, 1.0)
+
+
+def _oracle_cases():
+    for lam in (1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 100.0):
+        for c in (0.0, 0.25, 0.5, 1.0, 2.0):
+            prof = hf.combined_profile(lam, c)
+            t_cut = max(bounds.T_CUT, prof.switch_point + 1.0)
+            yield f"combined({lam}, {c}) head", prof, 0.0, prof.switch_point, 1e-10
+            yield f"combined({lam}, {c}) tail", prof, prof.switch_point, t_cut, 1e-10
+    yield "exp", np.exp, 0.0, 1.0, 1e-12
+    yield "hessian_floor", hessian_floor_profile(3.0, 0.25), 0.0, bounds.T_CUT, 1e-10
+    table = tabulated_profile(np.array([0.0, 0.5, 2.0, 3.0, 30.0]),
+                              np.array([2.0, 1.0, 0.75, 0.1, 0.0]))
+    yield "tabulated", table, 0.0, bounds.T_CUT, 1e-10
+    yield "jump", _jump, 0.0, 1.0, 1e-10
+
+
+def test_simpson_adaptive_matches_recursion_bit_for_bit():
+    # same leaves, abscissas and summation order as the recursion, so the
+    # results are equal, not close
+    for name, fn, a, b, rel_tol in _oracle_cases():
+        ref, new = _Recorder(fn), _Recorder(fn)
+        want = _recursive_simpson(lambda t: float(ref(t)), a, b, rel_tol)
+        got = simpson_adaptive(new, a, b, rel_tol)
+        assert got == want, name
+        assert sorted(new.points) == sorted(ref.points), name
+
+
+def test_simpson_adaptive_jump_reaches_max_depth_one_call_per_level():
+    rec = _Recorder(_jump)
+    simpson_adaptive(rec, 0.0, 1.0)
+    # an interval SIMPSON_MAX_DEPTH halvings deep was refined: its quarter
+    # points are 2^-(depth + 2) apart
+    assert np.min(np.diff(np.unique(rec.points))) <= 2.0 ** -(SIMPSON_MAX_DEPTH + 2)
+    # one call for the endpoints and midpoint, then one per level
+    assert rec.calls <= SIMPSON_MAX_DEPTH + 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrand_raises(bad):
+    prof = tabulated_profile(np.array([0.0, 1.0, 2.0, 30.0]),
+                             np.array([1.0, bad, 0.5, 0.0]))
+    budget = SIMPSON_MAX_DEPTH + 2
+    guarded = bounds.LambdaProfile(_Recorder(prof.fn, budget), valid_from=prof.valid_from)
+    with pytest.raises(HeatflowError, match="not finite"):
+        hf.lipschitz_from_profile(guarded)
+    with pytest.raises(HeatflowError, match="not finite"):
+        simpson_adaptive(_Recorder(prof, budget), 0.0, 30.0)
+
+
+def test_simpson_adaptive_bounds_level_width(monkeypatch):
+    # an integrand that no tolerance can accept splits every interval at
+    # every level; the width cap stops it before memory runs out
+    monkeypatch.setattr(bounds, "SIMPSON_MAX_OPEN", 64)
+    with pytest.raises(HeatflowError, match="does not converge"):
+        simpson_adaptive(_Recorder(lambda t: np.sin(1e12 * t), SIMPSON_MAX_DEPTH + 2, 128),
+                         0.0, 1.0)
 
 
 def test_profile_table_columns():
