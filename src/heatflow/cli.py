@@ -28,8 +28,8 @@ from scipy import integrate
 from . import __version__, bounds, diagnostics, potentials
 from .errors import HeatflowError
 from .flow import FlowIntegrator
-from .potentials import (GridSpec, check_keys, from_config, json_flag, json_number,
-                         validate_metadata)
+from .potentials import (GridSpec, check_keys, from_config, json_flag, json_int,
+                         json_number, validate_metadata)
 from .quadrature import QuadratureScheme
 from .semigroup import SemigroupEvaluator, concavity_profile
 
@@ -113,9 +113,9 @@ def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     scheme = QuadratureScheme(
         dim=dim,
         kind=sc.get("kind", QuadratureScheme.kind),
-        node_count=int(json_number(sc, "node_count", QuadratureScheme.node_count)),
-        sample_count=int(json_number(sc, "sample_count", QuadratureScheme.sample_count)),
-        seed=int(json_number(sc, "seed", QuadratureScheme.seed)),
+        node_count=json_int(sc, "node_count", QuadratureScheme.node_count),
+        sample_count=json_int(sc, "sample_count", QuadratureScheme.sample_count),
+        seed=json_int(sc, "seed", QuadratureScheme.seed),
     )
     if quick:
         scheme = dataclasses.replace(
@@ -128,7 +128,7 @@ def _potential_dim(pcfg: dict) -> int:
     """Dimension of a potential config, needed to build the scheme first
     (from_config checks the rest of the config)."""
     params = pcfg.get("params") if isinstance(pcfg, dict) else None
-    return int(json_number(params, "dim", 1)) if isinstance(params, dict) else 1
+    return json_int(params, "dim", 1) if isinstance(params, dict) else 1
 
 
 def _potential_from(pcfg: dict, scheme: QuadratureScheme):
@@ -149,7 +149,7 @@ def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowInt
     # before --quick scales the step count
     fi = FlowIntegrator(evaluator,
                         t_max=float(json_number(fl, "t_max", FlowIntegrator.t_max)),
-                        n_steps=int(json_number(fl, "n_steps", FlowIntegrator.n_steps)))
+                        n_steps=json_int(fl, "n_steps", FlowIntegrator.n_steps))
     if quick:
         fi = dataclasses.replace(fi, n_steps=max(40, fi.n_steps // 10))
     return fi
@@ -163,12 +163,12 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
                                    "with_jacobian"), "transport config")
     if "potential" not in cfg:
         raise ValueError("config needs a 'potential' entry")
-    count = int(json_number(cfg, "samples", 10_000))
+    count = json_int(cfg, "samples", 10_000)
     if count < 1:
         raise ValueError("samples must be >= 1")
     if quick:
         count = max(100, count // 10)
-    seed = int(cfg.get("seed", 0))
+    seed = json_int(cfg, "seed", 0)
     scheme = _scheme_from(cfg, _potential_dim(cfg["potential"]), quick)
     pot = _potential_from(cfg["potential"], scheme)
     ev = SemigroupEvaluator(pot, scheme)
@@ -253,8 +253,14 @@ def run_profile(cfg: dict, out: Path, quick: bool) -> int:
         raise ValueError("profile command needs lambda >= 1")
     tg = cfg.get("t_grid", {})
     check_keys(tg, ("lo", "hi", "count"), "t_grid")
-    ts = np.linspace(float(json_number(tg, "lo", 1e-3)), float(json_number(tg, "hi", 6.0)),
-                     int(json_number(tg, "count", 601)))
+    lo = float(json_number(tg, "lo", 1e-3))
+    hi = float(json_number(tg, "hi", 6.0))
+    count = json_int(tg, "count", 601)
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"t_grid needs 0 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+    if count < 1:
+        raise ValueError("t_grid count must be >= 1")
+    ts = np.linspace(lo, hi, count)
     table = bounds.profile_table(lam, c, ts)
     _write_csv(out / "profile.csv", _provenance(cfg), table)
     s = bounds.bound_summary(lam, c)
@@ -285,7 +291,7 @@ def run_counterexample(cfg: dict, out: Path, quick: bool) -> int:
         pot = potentials.normalize(potentials.linear_tail(), scheme)
         xs = np.linspace(float(json_number(cfg, "x_lo", 2.0)),
                          float(json_number(cfg, "x_hi", 6.0)),
-                         int(json_number(cfg, "points", 17)))
+                         json_int(cfg, "points", 17))
         fit = diagnostics.tail_test(pot, xs)
         payload |= {
             "linear_slope": fit.linear_slope,
@@ -420,8 +426,9 @@ def run_verify(cfg: dict, out: Path, quick: bool) -> int:
     if jobs is None:
         checks.extend(_verify_global_checks(quick))
         jobs = DEFAULT_VERIFY_JOBS
-    elif not isinstance(jobs, list):
-        raise ValueError(f"'jobs' must be a JSON list, got {jobs!r}")
+    elif not isinstance(jobs, list) or not jobs:
+        # an empty list would certify a pass that rests on no check
+        raise ValueError(f"'jobs' must be a non-empty JSON list, got {jobs!r}")
     for job in jobs:
         checks.extend(_verify_potential_job(job, quick))
     n_fail = sum(1 for c in checks if not c["pass"])
@@ -468,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        json_number(cfg, "seed", 0)     # a COMMON_KEYS number, whether read or not
+        json_int(cfg, "seed", 0)        # a COMMON_KEYS integer, whether read or not
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ValueError(

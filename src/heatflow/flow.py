@@ -13,16 +13,24 @@ solves dJ/dt = D^2 V_t(S_t) J and rides in the same stages as the state
 so the two stay synchronized, or is absent (None) when not requested.
 Backward runs reuse the forward drift routine with a negated step; there
 is no separate reverse-drift code path.
+
+Rows of a batch never interact, so `pushforward_samples` cuts its rows
+into spans and maps them on every CPU the process may use (forked worker
+processes); the outputs do not depend on the span sizes or the worker
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DensityUnderflowError
+from .errors import DensityUnderflowError, HeatflowError
 from .semigroup import SemigroupEvaluator
 
 # The kink-sampling Hessian route amplifies noise like 1/t as t -> 0, so
@@ -77,6 +85,61 @@ def map_table(samples: "PushforwardSamples") -> list[dict]:
             "error_bound": samples.error_bound,
         })
     return out
+
+
+# The (integrator, inputs, with_jacobian) whose spans this thread maps: set
+# by the pool initializer in a worker, which under fork inherits it rather
+# than unpickling it (potentials are closures), or around the builtin map
+# in the caller.
+_span_job = threading.local()
+
+
+def _set_span_job(job) -> None:
+    _span_job.job = job
+
+
+def _transport_span(span: tuple[int, int]):
+    """transport_batch over the rows [lo, hi) of the current job's inputs."""
+    fi, inputs, with_jacobian = _span_job.job
+    lo, hi = span
+    return fi.transport_batch(inputs[lo:hi], with_jacobian=with_jacobian)
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _span_map(job, workers: int):
+    """A map function that applies _transport_span to spans of `job`.
+
+    With workers > 1 it is the map of a pool of that many forked processes;
+    it is the builtin map when workers is 1, when the "fork" start method
+    is unavailable or when this process is a daemon (which may not have
+    children).  A worker's exception reaches the caller as raised; a worker
+    that dies raises HeatflowError.  No worker outlives the block.
+    """
+    if workers > 1:
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_set_span_job, initargs=(job,))
+            try:
+                yield pool.map
+            except BrokenProcessPool as exc:
+                raise HeatflowError(f"a transport worker process died: {exc}") from exc
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+            return
+    _set_span_job(job)
+    try:
+        yield map
+    finally:
+        _set_span_job(None)
 
 
 def _axpy(y, a, k):
@@ -236,26 +299,41 @@ class FlowIntegrator:
                             chunk: int = 8192) -> PushforwardSamples:
         """Map `count` gamma-samples drawn from `seed` through the transport.
 
-        Deterministic for fixed (count, seed) and independent of `chunk`;
-        per-sample failures are flagged by index, never dropped.  The run
-        is certified only with a truncation bound and no failed sample: a
-        failed sample comes back at its input, not within the bound of T(y).
+        The rows are cut into contiguous spans of about equal size, at most
+        `chunk` rows each and at least one span per CPU in the process's
+        affinity mask (while rows last).  Each span is one transport_batch
+        call, run in one of min(CPUs, spans) worker processes started with
+        "fork", which inherit the integrator and inputs; only span bounds
+        and results cross the pipe.  The spans run in this process instead
+        when one CPU is available, the "fork" start method is not, or this
+        process is a daemon.  Rows never interact, so the result is
+        deterministic for fixed (count, seed) and independent of `chunk`
+        and of the worker count, bit for bit.  Per-sample failures are
+        flagged by index, never dropped; a worker that dies raises
+        HeatflowError.  The run is certified only with a truncation bound
+        and no failed sample: a failed sample comes back at its input, not
+        within the bound of T(y).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
         dim = self.evaluator.potential.dim
         rng = np.random.default_rng(seed)
         inputs = rng.standard_normal((count, dim))
         outputs = np.empty_like(inputs)
         norms = np.empty(count) if with_jacobian else None
         failed = np.zeros(count, dtype=bool)
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            z, J, bad = self.transport_batch(inputs[lo:hi], with_jacobian=with_jacobian)
-            outputs[lo:hi] = z
-            failed[lo:hi] = bad
-            if with_jacobian:
-                norms[lo:hi] = np.linalg.svd(J, compute_uv=False)[..., 0]
+        workers = _worker_count()
+        n_spans = min(count, max(-(-count // chunk), workers))
+        edges = [count * i // n_spans for i in range(n_spans + 1)]
+        spans = list(zip(edges[:-1], edges[1:]))
+        with _span_map((self, inputs, with_jacobian), min(workers, n_spans)) as span_map:
+            for (lo, hi), (z, J, bad) in zip(spans, span_map(_transport_span, spans)):
+                outputs[lo:hi] = z
+                failed[lo:hi] = bad
+                if with_jacobian:
+                    norms[lo:hi] = np.linalg.svd(J, compute_uv=False)[..., 0]
         bound = self.truncation_error_bound()
         return PushforwardSamples(inputs, outputs, norms, bound,
                                   bound is not None and not failed.any(),

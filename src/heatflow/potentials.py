@@ -706,6 +706,15 @@ def json_number(cfg: dict, key: str, default=None):
     return v
 
 
+def json_int(cfg: dict, key: str, default=None) -> int:
+    """json_number(cfg, key, default) as an int.  A number with a fractional
+    part, or a list, is rejected rather than truncated; 100.0 is 100."""
+    v = json_number(cfg, key, default)
+    if isinstance(v, list) or v != int(v):
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
 def json_flag(cfg: dict, key: str, default: bool) -> bool:
     """cfg[key], or `default` when absent: a JSON boolean."""
     v = cfg.get(key, default)

@@ -214,12 +214,13 @@ def test_verify_wrong_declared_curvature_fails(tmp_path):
     assert any("curvature_budget" in c["name"] for c in failed)
 
 
-def test_verify_empty_jobs(tmp_path):
+def test_verify_empty_jobs(tmp_path, capsys):
+    # a pass over no checks certifies nothing, so it is a config error
     cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "jobs": []})
     out = tmp_path / "out"
-    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["checks"] == []
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-empty" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_counterexample_vt(tmp_path):
@@ -292,6 +293,77 @@ def test_bad_count_config_error(tmp_path, capsys, override, message, quick):
     assert cli.main(["transport", "--config", cfg, "--out", str(out), *quick_flag]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+PROFILE_CFG = {"command": "profile", "lambda": 2.0, "c": 0.5}
+
+
+# every integer key, given a number with a fractional part, and a list
+NON_INTEGERS = {
+    "samples": TRANSPORT_CFG | {"samples": 100.9},
+    "seed": TRANSPORT_CFG | {"seed": 3.7},
+    "scheme.node_count": TRANSPORT_CFG | {"scheme": {"node_count": 48.5}},
+    "scheme.sample_count": TRANSPORT_CFG | {
+        "scheme": {"kind": "monte_carlo", "sample_count": 2000.5}},
+    "scheme.seed": TRANSPORT_CFG | {"scheme": {"node_count": 48, "seed": 1.5}},
+    "flow.n_steps": TRANSPORT_CFG | {"flow": {"n_steps": 40.5}},
+    "potential.params.dim": TRANSPORT_CFG | {
+        "potential": {"family": "gaussian", "params": {"rho": 1.0, "dim": 1.5}}},
+    "t_grid.count": PROFILE_CFG | {"t_grid": {"count": 10.7}},
+    "points": {"command": "counterexample", "kind": "linear_tail", "points": 17.5},
+    "verify_seed": {"command": "verify", "seed": 2.5},
+    "samples_list": TRANSPORT_CFG | {"samples": [100]},
+}
+
+
+@pytest.mark.parametrize("quick", [False, True])
+@pytest.mark.parametrize("name", NON_INTEGERS)
+def test_non_integer_config_error(tmp_path, capsys, name, quick):
+    # truncating 100.9 to 100 would run another job than the one written
+    cfg = NON_INTEGERS[name]
+    out = tmp_path / "out"
+    quick_flag = ["--quick"] if quick else []
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert cli.main([cfg["command"], "--config", path, "--out", str(out), *quick_flag]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_counts_accepted(tmp_path):
+    # 600.0 samples, seed 42.0 and 120.0 steps are the integers 600, 42, 120
+    as_floats = TRANSPORT_CFG | {"samples": 600.0, "seed": 42.0,
+                                 "flow": {"t_max": 8.0, "n_steps": 120.0}}
+    outs = []
+    for name, cfg in (("int", TRANSPORT_CFG), ("float", as_floats)):
+        out = tmp_path / name
+        path = write_cfg(tmp_path / f"{name}.json", cfg)
+        assert cli.main(["transport", "--config", path, "--out", str(out), "--quick"]) == 0
+        outs.append([ln for ln in (out / "samples.csv").read_text().splitlines()
+                     if not ln.startswith("# config=")])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("t_grid", [
+    {"lo": -1.0, "hi": 1.0, "count": 5},
+    {"lo": 2.0, "hi": 1.0, "count": 5},
+    {"count": 0},
+], ids=["negative_lo", "lo_above_hi", "zero_count"])
+def test_bad_profile_grid_config_error(tmp_path, t_grid):
+    cfg = write_cfg(tmp_path / "c.json", PROFILE_CFG | {"t_grid": t_grid})
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "profile.csv").exists()
+
+
+def test_profile_grid_edges_accepted(tmp_path):
+    # t = 0 and a one-point grid are meaningful: lo == hi, count 1
+    cfg = write_cfg(tmp_path / "c.json",
+                    PROFILE_CFG | {"t_grid": {"lo": 0.0, "hi": 0.0, "count": 1}})
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln for ln in (out / "profile.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert rows[0].startswith("t,") and len(rows) == 2
 
 
 def test_bad_family_params_config_error(tmp_path):
@@ -389,9 +461,12 @@ def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
         EXAMPLE_OUTPUT_CHECKS[cfg.stem](outs[0])
 
 
+# pinned to one CPU, so the spans run in this process and its faults count
 FAULT_PROBE = """
-import resource, sys
+import os, resource, sys
 from heatflow import cli
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 code = cli.main(["transport", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)

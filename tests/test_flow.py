@@ -1,11 +1,15 @@
 import json
+import multiprocessing
+import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import heatflow as hf
-from heatflow import semigroup
+from heatflow import cli, flow, semigroup
+from heatflow.errors import DensityUnderflowError, HeatflowError
 from heatflow.diagnostics import empirical_lipschitz, ks_distance, rearrangement_map
 from heatflow.flow import T_HESS_FLOOR
 
@@ -252,6 +256,194 @@ def test_pushforward_chunk_independent(std_bump, dim, with_jacobian):
     assert np.array_equal(a.outputs, b.outputs)
     if with_jacobian:
         assert np.array_equal(a.jacobian_norms, b.jacobian_norms)
+
+
+# -- spans on worker processes -------------------------------------------------------
+
+
+def pushforward_bytes(ps):
+    """Every array of a PushforwardSamples, as bytes."""
+    norms = None if ps.jacobian_norms is None else ps.jacobian_norms.tobytes()
+    return ps.inputs.tobytes(), ps.outputs.tobytes(), norms, ps.failed_indices.tobytes()
+
+
+@pytest.fixture
+def parent_calls(monkeypatch):
+    """Count the transport_batch calls made in this process (a worker's
+    calls land in its own copy of the list)."""
+    calls = []
+    inner = hf.FlowIntegrator.transport_batch
+
+    def counting(self, y, *args, **kwargs):
+        calls.append(len(y))
+        return inner(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_pushforward_rejects_bad_chunk(std_bump, chunk):
+    fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
+    with pytest.raises(ValueError, match="chunk"):
+        fi.pushforward_samples(10, seed=0, chunk=chunk)
+
+
+def test_spans_contiguous_at_most_chunk_about_equal(monkeypatch, std_bump, parent_calls):
+    monkeypatch.setattr(flow, "_worker_count", lambda: 1)
+    fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
+    fi.pushforward_samples(500, seed=9, with_jacobian=False, chunk=77)
+    assert sum(parent_calls) == 500
+    assert max(parent_calls) <= 77 and max(parent_calls) - min(parent_calls) <= 1
+    parent_calls.clear()
+    fi.pushforward_samples(500, seed=9, with_jacobian=False)
+    assert parent_calls == [500]
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_pushforward_worker_count_independent(monkeypatch, std_bump, parent_calls,
+                                              with_jacobian):
+    fi = make_flow(std_bump, t_max=8.0, n_steps=60, nodes=48)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(flow, "_worker_count", lambda: workers)
+        for chunk in (77, 8192):
+            parent_calls.clear()
+            ps = fi.pushforward_samples(300, seed=4, with_jacobian=with_jacobian,
+                                        chunk=chunk)
+            # with more than one worker no span runs in this process
+            assert (sum(parent_calls) == 300) == (workers == 1)
+            runs[workers, chunk] = pushforward_bytes(ps)
+    first = runs[1, 8192]
+    assert (first[2] is None) != with_jacobian
+    assert all(r == first for r in runs.values())
+    assert multiprocessing.active_children() == []
+
+
+class FixedRng:
+    """Stands in for np.random.default_rng: draws the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_pushforward_zero_density_row_flagged_on_workers(monkeypatch, walled_gaussian,
+                                                         with_jacobian):
+    fi = make_flow(walled_gaussian, t_max=8.0, n_steps=100, nodes=64)
+    ys = np.random.default_rng(2).standard_normal((40, 1))
+    ys[23, 0] = -50.0
+    keep = np.arange(40) != 23
+    z_ok, J_ok, failed_ok = fi.transport_batch(ys[keep], with_jacobian=with_jacobian)
+    assert not failed_ok.any()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRng(ys))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(flow, "_worker_count", lambda: workers)
+        ps = fi.pushforward_samples(40, seed=0, with_jacobian=with_jacobian, chunk=7)
+        assert ps.failed_indices.tolist() == [23]
+        assert not ps.certified
+        assert ps.outputs[23, 0] == -50.0
+        assert ps.outputs[keep].tobytes() == z_ok.tobytes()
+        if with_jacobian:
+            assert ps.jacobian_norms[23] == 1.0
+            ok_norms = np.linalg.svd(J_ok, compute_uv=False)[..., 0]
+            assert ps.jacobian_norms[keep].tobytes() == ok_norms.tobytes()
+
+
+def _pushforward_in_daemon(fi, conn):
+    try:
+        conn.send(pushforward_bytes(fi.pushforward_samples(60, seed=5, chunk=7)))
+    except BaseException as exc:        # report, never hang the test
+        conn.send(repr(exc))
+    conn.close()
+
+
+def test_pushforward_in_daemon_runs_serially(monkeypatch, std_bump):
+    # a daemon process may not have children, so it maps the spans itself
+    fi = make_flow(std_bump, t_max=8.0, n_steps=30, nodes=16)
+    monkeypatch.setattr(flow, "_worker_count", lambda: 1)
+    serial = pushforward_bytes(fi.pushforward_samples(60, seed=5))
+    monkeypatch.setattr(flow, "_worker_count", lambda: 2)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_pushforward_in_daemon, args=(fi, send), daemon=True)
+    proc.start()
+    assert recv.poll(120), "the daemon sent no result"
+    got = recv.recv()
+    proc.join(30)
+    assert proc.exitcode == 0
+    assert got == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [
+    HeatflowError("divergent integral"),
+    DensityUnderflowError("density below floor", rows=[3, 7]),
+    DensityUnderflowError("density below floor"),
+], ids=["heatflow", "underflow_rows", "underflow"])
+def test_errors_survive_pickle(exc):
+    # a worker's exception comes back to the parent through pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert getattr(back, "rows", None) == getattr(exc, "rows", None)
+
+
+def raising_in_worker(exc):
+    """A transport_batch that raises `exc`, or exits, in a worker only."""
+    parent = os.getpid()
+    inner = hf.FlowIntegrator.transport_batch
+
+    def transport_batch(self, *args, **kwargs):
+        if os.getpid() != parent:
+            if exc is None:
+                os._exit(1)
+            raise exc
+        return inner(self, *args, **kwargs)
+
+    return transport_batch
+
+
+@pytest.mark.parametrize("exc", [
+    HeatflowError("divergent integral"),
+    DensityUnderflowError("density below floor", rows=[3, 7]),
+], ids=["heatflow", "underflow"])
+def test_worker_exception_reaches_caller_intact(monkeypatch, std_bump, exc):
+    monkeypatch.setattr(flow, "_worker_count", lambda: 2)
+    monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", raising_in_worker(exc))
+    fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
+    with pytest.raises(type(exc)) as info:
+        fi.pushforward_samples(50, seed=1, chunk=7)
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    assert getattr(info.value, "rows", None) == getattr(exc, "rows", None)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_heatflow_error(monkeypatch, std_bump):
+    monkeypatch.setattr(flow, "_worker_count", lambda: 2)
+    monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", raising_in_worker(None))
+    fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
+    with pytest.raises(HeatflowError, match="worker process died"):
+        fi.pushforward_samples(50, seed=1, chunk=7)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [HeatflowError("divergent integral"), None],
+                         ids=["raises", "dies"])
+def test_cli_exit_3_on_worker_failure(monkeypatch, tmp_path, capsys, exc):
+    monkeypatch.setattr(flow, "_worker_count", lambda: 2)
+    monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", raising_in_worker(exc))
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": "transport", "potential": {"family": "gaussian", "params": {"rho": 1.0}},
+        "scheme": {"node_count": 16}, "flow": {"n_steps": 20}, "samples": 50}))
+    assert cli.main(["transport", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numeric failure: HeatflowError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def assert_row_isolated(fi, ys, bad, with_jacobian):
