@@ -38,9 +38,15 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-QUICK_SCALE = 0.1          # node/sample counts multiplied by this under --quick
+QUICK_SCALE = 0.1          # node, sample and step counts multiplied by this under --quick
 # top-level keys every command takes: --seed writes "seed" into any config
 COMMON_KEYS = ("command", "seed")
+
+
+def _quick_count(count: int, floor: int) -> int:
+    """A config's count scaled by QUICK_SCALE, at least `floor`, but never
+    above the configured count itself."""
+    return min(count, max(floor, int(count * QUICK_SCALE)))
 
 
 def _fmt(x) -> str:
@@ -119,8 +125,8 @@ def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     )
     if quick:
         scheme = dataclasses.replace(
-            scheme, node_count=max(8, int(scheme.node_count * QUICK_SCALE)),
-            sample_count=max(1000, int(scheme.sample_count * QUICK_SCALE)))
+            scheme, node_count=_quick_count(scheme.node_count, 8),
+            sample_count=_quick_count(scheme.sample_count, 1000))
     return scheme
 
 
@@ -151,7 +157,7 @@ def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowInt
                         t_max=float(json_number(fl, "t_max", FlowIntegrator.t_max)),
                         n_steps=json_int(fl, "n_steps", FlowIntegrator.n_steps))
     if quick:
-        fi = dataclasses.replace(fi, n_steps=max(40, fi.n_steps // 10))
+        fi = dataclasses.replace(fi, n_steps=_quick_count(fi.n_steps, 40))
     return fi
 
 
@@ -167,7 +173,7 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
     if count < 1:
         raise ValueError("samples must be >= 1")
     if quick:
-        count = max(100, count // 10)
+        count = _quick_count(count, 100)
     seed = json_int(cfg, "seed", 0)
     scheme = _scheme_from(cfg, _potential_dim(cfg["potential"]), quick)
     pot = _potential_from(cfg["potential"], scheme)

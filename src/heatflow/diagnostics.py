@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import erfcx, ndtr, ndtri
+from scipy.special import erfcx, ndtr
 
 from .errors import HeatflowError
 from .potentials import Potential, vt_counterexample
@@ -40,10 +40,6 @@ def normal_pdf(x):
 def normal_cdf(x):
     """Phi via the erf-style library routine; |error| < 1e-15 over the line."""
     return ndtr(x)
-
-
-def normal_quantile(q):
-    return ndtri(q)
 
 
 def normal_cdf_scaled(x):

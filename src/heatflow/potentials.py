@@ -8,8 +8,10 @@ spike family indexed by T, and the capped-Gaussian sharpness family.
 
 Conventions: points are arrays whose last axis is the ambient dimension;
 `value` maps (..., dim) -> (...), `grad` maps to (..., dim) and `hess`
-to (..., dim, dim).  Gradient and Hessian fall back to central finite
-differences with step 1e-4 * (1 + |x|) when no analytic form is given.
+to (..., dim, dim).  A potential supplies its gradient through one hook,
+value_grad_fn, which returns value and gradient together; gradient and
+Hessian fall back to central finite differences with step
+1e-4 * (1 + |x|) when no analytic form is given.
 """
 
 from __future__ import annotations
@@ -75,10 +77,9 @@ class Potential:
 
     dim: int
     raw_fn: Callable[[np.ndarray], np.ndarray]
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # optional fused (raw, grad) for potentials that share work between
-    # the two; must agree bit for bit with (raw_fn, grad_fn)
+    # (raw, grad) from one call, the only source of the analytic gradient;
+    # None means central finite differences of value
     value_grad_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     shift: float = 0.0
     curvature_lower: Optional[float] = 0.0
@@ -109,16 +110,13 @@ class Potential:
         return norm * np.exp(-self.value(x) - sq / 2.0)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_fn is not None:
-            return self.grad_fn(x)
-        return self._fd_grad(x)
+        return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(value(x), grad(x)) from one call where the potential fuses them."""
+        """(value(x), grad(x)) from value_grad_fn, or central differences."""
         x = np.asarray(x, dtype=float)
         if self.value_grad_fn is None:
-            return self.value(x), self.grad(x)
+            return self.value(x), self._fd_grad(x)
         raw, g = self.value_grad_fn(x)
         return raw + self.shift, g
 
@@ -234,9 +232,7 @@ def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
             "dim above Gauss-Hermite cap; supply a monte_carlo scheme"
         )
     res = gaussian_expectation_adaptive(
-        lambda z: -p.value(z), p.dim, start_nodes=scheme.node_count,
-        log_integrand=True,
-    )
+        lambda z: -p.value(z), p.dim, start_nodes=scheme.node_count)
     if res.value <= 0:
         raise HeatflowError("mass estimate vanished")
     return float(np.log(res.value)), res.rel_change
@@ -266,15 +262,15 @@ def gaussian(rho: float, dim: int = 1) -> Potential:
     def raw(x):
         return rho * np.sum(x * x, axis=-1) / 2.0
 
-    def grad(x):
-        return rho * x
+    def value_grad(x):
+        return raw(x), rho * x
 
     def hess(x):
         eye = np.eye(dim)
         return np.broadcast_to(rho * eye, x.shape + (dim,)).copy()
 
     return Potential(
-        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        dim=dim, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
         curvature_lower=max(0.0, -rho),
         oscillation=(0.0 if rho == 0.0 else None),
         grad_sup_norm=(0.0 if rho == 0.0 else None),
@@ -305,9 +301,6 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
         d = x - c
         return height * np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
 
-    def grad(x):
-        return value_grad(x)[1]
-
     def value_grad(x):
         d = x - c
         prof = np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
@@ -325,7 +318,7 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
     else:
         lam = _BUMP_MAX_D2 * (-height) / r2
     return Potential(
-        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess, value_grad_fn=value_grad,
+        dim=dim, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
         curvature_lower=lam,
         oscillation=abs(height),
         grad_sup_norm=_BUMP_MAX_D1 * abs(height) / radius,
@@ -347,15 +340,15 @@ def _clipped_quadratic(lo: float, hi: float, center: float, k: float,
     def raw(x):
         return offset + k * (np.clip(x[..., 0], lo, hi) - center) ** 2 / 2.0
 
-    def grad(x):
+    def value_grad(x):
         t = x[..., 0]
-        return np.where(active(t), k * (t - center), 0.0)[..., None]
+        return raw(x), np.where(active(t), k * (t - center), 0.0)[..., None]
 
     def hess(x):
         return np.where(active(x[..., 0]), k, 0.0)[..., None, None]
 
     return Potential(
-        dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        dim=1, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
         kinks=tuple(e for e in (lo, hi) if np.isfinite(e)), **metadata,
     )
 
@@ -467,14 +460,11 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
     def raw(x):
         return value_grad(x)[0]
 
-    def grad(x):
-        return slopes[cell(x[..., 0])][..., None]
-
     def hess(x):
         return np.zeros(x.shape[:-1] + (1, 1))
 
-    return Potential(dim=1, raw_fn=raw, grad_fn=grad, hess_fn=hess,
-                     value_grad_fn=value_grad, name=name, **metadata)
+    return Potential(dim=1, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
+                     name=name, **metadata)
 
 
 # -- regularization ---------------------------------------------------------
@@ -547,9 +537,6 @@ def mollify(p: Potential, sigma: float,
     def raw(x):
         return value_grad(x)[0]
 
-    def grad(x):
-        return value_grad(x)[1]
-
     def hess(x):
         _, u, mean_node, _ = moments(x)
         cov_z = (np.einsum("...k,kd,ke->...de", u, nodes, nodes)
@@ -557,7 +544,7 @@ def mollify(p: Potential, sigma: float,
         return -tau * tau * eye - (a / tau) ** 2 * (cov_z - eye)
 
     return Potential(
-        dim=dim, raw_fn=raw, grad_fn=grad, hess_fn=hess, value_grad_fn=value_grad,
+        dim=dim, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
         curvature_lower=None, oscillation=None, grad_sup_norm=None,
         name=f"mollify({p.name}, sigma={sigma})",
     )
@@ -589,6 +576,8 @@ def lipschitz_regularize(
     """
     if l < 0 or r <= 0:
         raise ValueError("need l >= 0 and r > 0")
+    if points_per_axis < 2 or not grid_tol > 0:
+        raise ValueError("need points_per_axis >= 2 and grid_tol > 0")
     if p.dim != 1:
         raise ValueError("inf-convolution envelope implemented for dim 1")
 
@@ -657,8 +646,9 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
         sq = np.sum(x * x, axis=-1)
         return p.value(x / np.sqrt(1.0 - lam)) + cfac * sq / 2.0
 
-    def grad(x):
-        return p.grad(x / np.sqrt(1.0 - lam)) * a + cfac * x
+    def value_grad(x):
+        v, g = p.value_and_grad(x / np.sqrt(1.0 - lam))
+        return v + cfac * np.sum(x * x, axis=-1) / 2.0, g * a + cfac * x
 
     def hess(x):
         eye = np.eye(p.dim)
@@ -666,7 +656,7 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
 
     shift = (p.dim / 2.0) * np.log(1.0 - lam) if p.normalized else 0.0
     out = Potential(
-        dim=p.dim, raw_fn=raw, grad_fn=grad, hess_fn=hess,
+        dim=p.dim, raw_fn=raw, hess_fn=hess, value_grad_fn=value_grad,
         shift=shift,
         curvature_lower=0.0,
         oscillation=None, grad_sup_norm=None,
@@ -790,6 +780,8 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
             pot = mollify(pot, float(tr["sigma"]), scheme)
         else:
             kwargs = {k: tr[k] for k in ("points_per_axis", "grid_tol") if k in tr}
+            if "points_per_axis" in tr:
+                kwargs["points_per_axis"] = json_int(tr, "points_per_axis")
             pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]),
                                        scheme=scheme, **kwargs)
 

@@ -17,8 +17,8 @@ loops run over the K nodes rather than over the 1-3 coordinates.  The
 weighted sums follow the same rule: the row is the outer loop and K the
 contiguous one.  In dim 1 the two layouts are the same memory.
 
-Batched evaluation: x may be a single point of shape (dim,) or a batch
-(N, dim); outputs follow suit.
+Batched evaluation: x is a batch of points of shape (N, dim), and every
+output has the leading N axis.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ DENSITY_FLOOR = 1e-300
 BLOCK_BYTES = 2**19
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.shape[0] == dim:
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise ValueError(f"point batch must have shape (dim,) or (N, dim) with dim={dim}")
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"point batch must have shape (N, dim) with dim={dim}, "
+                         f"got {x.shape}")
+    return x
 
 
 def _node_points(x: np.ndarray, e: float, s: float, nodes_dm: np.ndarray) -> np.ndarray:
@@ -60,18 +59,16 @@ def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.
 
     fn maps (..., dim) -> (...).  At t = 0 this is fn(x) exactly.
     """
-    xb, single = _as_batch(x, scheme.dim)
+    xb = _as_batch(x, scheme.dim)
     if t < 0:
         raise ValueError("time must be nonnegative")
     if t == 0.0:
-        out = fn(xb)
-        return out[0] if single else out
+        return fn(xb)
     e = np.exp(-t)
     s = np.sqrt(-np.expm1(-2.0 * t))
     nodes, w = scheme.nodes_weights()
     pts = e * xb[:, None, :] + s * nodes[None, :, :]
-    out = fn(pts) @ w
-    return out[0] if single else out
+    return fn(pts) @ w
 
 
 @dataclass(frozen=True)
@@ -185,25 +182,15 @@ class SemigroupEvaluator:
     # -- public surface: views over the pass ----------------------------------
 
     def log_pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
-        xb, single = _as_batch(x, self.potential.dim)
-        _, m, den, _, _ = self._moments(xb, t)
-        out = m + np.log(den)
-        return out[0] if single else out
-
-    def pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
-        """f_t(x); exact f(x) at t = 0, quadrature estimate otherwise."""
-        return np.exp(self.log_pt_f(x, t))
-
-    def v_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        """-log f_t(x)."""
-        return -self.log_pt_f(x, t)
+        """log f_t(x) = -V_t(x); exact -V(x) at t = 0, quadrature estimate
+        otherwise."""
+        _, m, den, _, _ = self._moments(_as_batch(x, self.potential.dim), t)
+        return m + np.log(den)
 
     def grad_pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
         """grad f_t(x) = -e^{-t} E[(f grad V)(e^{-t} x + s Z)], shared nodes."""
-        xb, single = _as_batch(x, self.potential.dim)
-        e, m, _, G, _ = self._moments(xb, t, grad=True)
-        out = -e * np.exp(m)[:, None] * G
-        return out[0] if single else out
+        e, m, _, G, _ = self._moments(_as_batch(x, self.potential.dim), t, grad=True)
+        return -e * np.exp(m)[:, None] * G
 
     def hess_pt_f(self, x: np.ndarray, t: float, route: str = "commute") -> np.ndarray:
         """Hessian of f_t by either route.
@@ -213,13 +200,11 @@ class SemigroupEvaluator:
         route "hermite": E[(Z Z^T - Id) f(pts)] / (e^{2t} - 1); only samples V,
         so it works for rough potentials, but requires t > 0.
         """
-        xb, single = _as_batch(x, self.potential.dim)
-        e, m, _, _, H = self._moments(xb, t, hess_route=route)
+        e, m, _, _, H = self._moments(_as_batch(x, self.potential.dim), t,
+                                      hess_route=route)
         if route == "hermite":
-            out = H * (np.exp(m) / np.expm1(2.0 * t))[:, None, None]
-        else:
-            out = (e * e) * np.exp(m)[:, None, None] * H
-        return out[0] if single else out
+            return H * (np.exp(m) / np.expm1(2.0 * t))[:, None, None]
+        return (e * e) * np.exp(m)[:, None, None] * H
 
     def drift(self, x: np.ndarray, t: float) -> np.ndarray:
         """grad V_t(x) = -grad f_t / f_t, from one shared-node pass.
@@ -228,10 +213,8 @@ class SemigroupEvaluator:
         |drift| <= e^{-t} sup|grad V| identically (positive weights average
         grad V pointwise), and which stays finite in the t -> 0 limit.
         """
-        xb, single = _as_batch(x, self.potential.dim)
-        e, _, den, G, _ = self._moments(xb, t, grad=True)
-        out = e * G / den[:, None]
-        return out[0] if single else out
+        e, _, den, G, _ = self._moments(_as_batch(x, self.potential.dim), t, grad=True)
+        return e * G / den[:, None]
 
     def drift_and_hess_vt(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(grad V_t, D^2 V_t) sharing a single quadrature pass.
@@ -241,7 +224,7 @@ class SemigroupEvaluator:
         for rough potentials whose pointwise Hessian misses kink curvature).
         At t = 0 no route is used: D^2 V_0 is the potential's own Hessian.
         """
-        xb, single = _as_batch(x, self.potential.dim)
+        xb = _as_batch(x, self.potential.dim)
         hess_route = None if t == 0.0 else "hermite"
         e, _, den, G, H = self._moments(xb, t, grad=True, hess_route=hess_route)
         grad_ratio = -e * G / den[:, None]
@@ -250,8 +233,7 @@ class SemigroupEvaluator:
         else:
             hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
             hess_vt = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
-        drift = -grad_ratio
-        return (drift[0], hess_vt[0]) if single else (drift, hess_vt)
+        return -grad_ratio, hess_vt
 
     def log_concavity(self, x: np.ndarray, t: float) -> np.ndarray:
         """Largest eigenvalue of D^2 log f_t(x) = -D^2 V_t(x) pointwise."""

@@ -43,10 +43,14 @@ def bump_evaluator(std_bump, gh_scheme):
 def walled_gaussian():
     """V = x^2/2 on |x| <= 5 and +inf beyond: the density is exactly zero
     past the walls, so a row whose nodes all lie there has no density."""
+
+    def raw(x):
+        return np.where(np.abs(x[..., 0]) <= 5.0, 0.5 * x[..., 0] ** 2, np.inf)
+
     return hf.Potential(
         dim=1,
-        raw_fn=lambda x: np.where(np.abs(x[..., 0]) <= 5.0, 0.5 * x[..., 0] ** 2, np.inf),
-        grad_fn=lambda x: np.array(x, dtype=float),
+        raw_fn=raw,
+        value_grad_fn=lambda x: (raw(x), x),
         hess_fn=lambda x: np.ones(x.shape + (1,)),
         name="walled_gaussian",
     )

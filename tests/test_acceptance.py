@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 import heatflow as hf
 from heatflow import cli
@@ -19,7 +20,6 @@ from heatflow.diagnostics import (
     empirical_lipschitz,
     ks_distance,
     normal_pdf,
-    normal_quantile,
     rearrangement_map,
     sharpness_curvature_check,
     sharpness_profile,
@@ -130,7 +130,7 @@ def test_criterion_06_bounded_perturbation_pipeline():
 
 def test_criterion_07_uniqueness_oracle(std_bump, regularized_linear_tail):
     qs = np.arange(1, 100) / 100.0
-    ys = normal_quantile(qs)
+    ys = ndtri(qs)
     worst = {}
     for name, p in (("bump", std_bump), ("linear_tail", regularized_linear_tail)):
         fi = make_flow(p, nodes=128, t_max=12.0, n_steps=240)

@@ -329,6 +329,22 @@ def test_non_integer_config_error(tmp_path, capsys, name, quick):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_quick_never_raises_a_count(tmp_path):
+    # --quick floors its scaled counts, but a config already below a floor
+    # keeps its own count
+    cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"samples": 30})
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out), "--quick"]) == 0
+    rows = [ln for ln in (out / "samples.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 1 + 30
+    ev = hf.SemigroupEvaluator(hf.gaussian(1.0), hf.QuadratureScheme(1, node_count=8))
+    assert cli._flow_from({"flow": {"n_steps": 10}}, ev, True).n_steps == 10
+    assert cli._flow_from({"flow": {"n_steps": 600}}, ev, True).n_steps == 60
+    scheme = cli._scheme_from({"scheme": {"node_count": 4, "sample_count": 500}}, 1, True)
+    assert (scheme.node_count, scheme.sample_count) == (4, 500)
+
+
 def test_integral_float_counts_accepted(tmp_path):
     # 600.0 samples, seed 42.0 and 120.0 steps are the integers 600, 42, 120
     as_floats = TRANSPORT_CFG | {"samples": 600.0, "seed": 42.0,
@@ -402,6 +418,13 @@ CONFIG_ERRORS = {
                     "with_jacobian": "false"},
     "string_number": {"command": "counterexample", "kind": "vt", "T": 6.0, "l": "50"},
     "nan_number": {"command": "bound", "lambda": float("nan")},
+    **{f"envelope_{name}": {
+        "command": "transport", "samples": 3,
+        "potential": {"family": "linear_tail", "transforms": [
+            {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0} | bad]}}
+       for name, bad in (("fractional_points", {"points_per_axis": 64.5}),
+                         ("zero_points", {"points_per_axis": 0}),
+                         ("negative_grid_tol", {"grid_tol": -1.0}))},
 }
 
 
@@ -412,6 +435,16 @@ def test_config_error_exit_code(name, tmp_path, capsys):
     assert cli.main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+def test_integral_float_envelope_points_accepted():
+    # points_per_axis 64.0 is the integer 64 and builds the same table
+    tables = [hf.from_config({"family": "linear_tail", "transforms": [
+        {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0, "points_per_axis": n}]})
+        for n in (64, 64.0)]
+    x = np.linspace(-8.0, 8.0, 1601)[:, None]
+    assert np.array_equal(tables[0].value(x), tables[1].value(x))
+    assert tables[0].shift == tables[1].shift
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -470,12 +470,15 @@ def test_underflow_row_isolated(with_jacobian):
     assert_row_isolated(fi, ys, 1, with_jacobian)
 
 
+def _walled_raw_2d(x):
+    return np.where(np.all(np.abs(x) <= 5.0, axis=-1), 0.5 * np.sum(x * x, axis=-1), np.inf)
+
+
 # V = |x|^2/2 inside the box max|x_i| <= 5 and +inf outside it
 WALLED_GAUSSIAN_2D = hf.Potential(
     dim=2,
-    raw_fn=lambda x: np.where(np.all(np.abs(x) <= 5.0, axis=-1),
-                              0.5 * np.sum(x * x, axis=-1), np.inf),
-    grad_fn=lambda x: np.array(x, dtype=float),
+    raw_fn=_walled_raw_2d,
+    value_grad_fn=lambda x: (_walled_raw_2d(x), x),
     hess_fn=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy(),
     name="walled_gaussian_2d",
 )

@@ -43,20 +43,20 @@ def ev_const(gh_scheme):
 
 def test_constant_density_is_fixed_point(ev_const):
     for t in (0.0, 0.3, 2.0, 10.0):
-        assert ev_const.pt_f(np.array([1.7]), t) == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(ev_const.log_pt_f(np.array([[1.7]]), t)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linear_integrand_eigenfunction(gh_scheme):
     # E[(e^{-t} x + s Z)] = e^{-t} x: the identity decays at rate e^{-t}
     for t in (0.0, 0.4, 1.5):
-        val = ou_expectation(lambda p: p[..., 0], np.array([2.0]), t, gh_scheme)
-        assert val == pytest.approx(2.0 * np.exp(-t), abs=1e-12)
+        val = ou_expectation(lambda p: p[..., 0], np.array([[2.0]]), t, gh_scheme)
+        assert val[0] == pytest.approx(2.0 * np.exp(-t), abs=1e-12)
 
 
 def test_pt_f_at_zero_time_is_exact(std_bump, gh_scheme):
     ev = hf.SemigroupEvaluator(std_bump, gh_scheme)
-    x = np.array([0.37])
-    assert ev.pt_f(x, 0.0) == std_bump.density(x[None, :])[0]
+    x = np.array([[0.37]])
+    assert np.array_equal(np.exp(ev.log_pt_f(x, 0.0)), std_bump.density(x))
 
 
 # -- Gaussian closed forms -----------------------------------------------------------
@@ -69,7 +69,7 @@ def test_pt_f_gaussian_closed_form(rho, gh_scheme):
     for t in (0.1, 0.5, 2.0):
         for x in (-2.0, 0.3, 1.7):
             want = np.exp(gaussian_log_ft(rho, p.shift, x, t))
-            got = ev.pt_f(np.array([x]), t)
+            got = np.exp(ev.log_pt_f(np.array([[x]]), t)[0])
             assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -79,7 +79,7 @@ def test_grad_pt_f_gaussian_closed_form(ev_one, gaussian_one):
         for x in (-1.5, 0.8):
             f = np.exp(gaussian_log_ft(rho, gaussian_one.shift, x, t))
             want = -gaussian_rho_t(rho, t) * x * f
-            got = ev_one.grad_pt_f(np.array([x]), t)[0]
+            got = ev_one.grad_pt_f(np.array([[x]]), t)[0, 0]
             assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -89,14 +89,14 @@ def test_grad_pt_f_matches_finite_differences(bump_evaluator):
     for _ in range(50):
         x = rng.uniform(-3, 3)
         t = rng.uniform(0.05, 2.5)
-        g = bump_evaluator.grad_pt_f(np.array([x]), t)[0]
-        fd = (bump_evaluator.pt_f(np.array([x + h]), t)
-              - bump_evaluator.pt_f(np.array([x - h]), t)) / (2 * h)
+        g = bump_evaluator.grad_pt_f(np.array([[x]]), t)[0, 0]
+        f = np.exp(bump_evaluator.log_pt_f(np.array([[x + h], [x - h]]), t))
+        fd = (f[0] - f[1]) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-5)
 
 
 def test_grad_constant_density_zero(ev_const):
-    assert abs(ev_const.grad_pt_f(np.array([0.9]), 0.7)[0]) < 1e-14
+    assert abs(ev_const.grad_pt_f(np.array([[0.9]]), 0.7)[0, 0]) < 1e-14
 
 
 # -- Hessian routes ---------------------------------------------------------------------
@@ -111,12 +111,12 @@ def test_hessian_routes_agree_on_bump(bump_evaluator):
 
 def test_hermite_route_needs_positive_time(bump_evaluator):
     with pytest.raises(ValueError, match="hermite route requires t > 0"):
-        bump_evaluator.hess_pt_f(np.array([0.0]), 0.0, route="hermite")
+        bump_evaluator.hess_pt_f(np.array([[0.0]]), 0.0, route="hermite")
 
 
 def test_hermite_zero_matrix_for_constant(ev_const):
-    h = ev_const.hess_pt_f(np.array([0.5]), 0.8, route="hermite")
-    assert abs(h[0, 0]) < 1e-12
+    h = ev_const.hess_pt_f(np.array([[0.5]]), 0.8, route="hermite")
+    assert abs(h[0, 0, 0]) < 1e-12
 
 
 def test_hermite_operator_norm_bound(bump_evaluator, std_bump):
@@ -133,13 +133,13 @@ def test_hermite_operator_norm_bound(bump_evaluator, std_bump):
 
 
 def test_drift_constant_zero(ev_const):
-    assert abs(ev_const.drift(np.array([1.2]), 0.9)[0]) < 1e-14
+    assert abs(ev_const.drift(np.array([[1.2]]), 0.9)[0, 0]) < 1e-14
 
 
 def test_drift_gaussian_closed_form(ev_one):
     for t in (0.05, 0.3, 1.0, 3.0):
         for x in (-2.0, 0.7, 3.1):
-            got = ev_one.drift(np.array([x]), t)[0]
+            got = ev_one.drift(np.array([[x]]), t)[0, 0]
             assert got == pytest.approx(gaussian_rho_t(1.0, t) * x, rel=1e-7)
 
 
@@ -155,7 +155,7 @@ def test_drift_underflow_raises(gh_scheme):
     p = hf.normalize(hf.gaussian(3.0))
     ev = hf.SemigroupEvaluator(p, gh_scheme)
     with pytest.raises(DensityUnderflowError):
-        ev.drift(np.array([40.0]), 0.001)
+        ev.drift(np.array([[40.0]]), 0.001)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.01])
@@ -171,8 +171,8 @@ def test_zero_density_row_raises_with_its_index(walled_gaussian, gh_scheme, t):
 
 
 def recording(p):
-    """p with a log of (kind, array) for every array its value, gradient,
-    Hessian and fused value-and-gradient calls receive."""
+    """p with a log of (kind, array) for every array its value, Hessian
+    and fused value-and-gradient calls receive."""
     seen = []
 
     def wrap(kind, fn):
@@ -182,8 +182,7 @@ def recording(p):
         return None if fn is None else rec
 
     return dataclasses.replace(
-        p, raw_fn=wrap("value", p.raw_fn), grad_fn=wrap("grad", p.grad_fn),
-        hess_fn=wrap("hess", p.hess_fn),
+        p, raw_fn=wrap("value", p.raw_fn), hess_fn=wrap("hess", p.hess_fn),
         value_grad_fn=wrap("value_grad", p.value_grad_fn)), seen
 
 
@@ -304,8 +303,9 @@ def test_mollified_tail_drift_finite_far_out():
     ev = hf.SemigroupEvaluator(hf.mollify(hf.linear_tail(), 0.5),
                                hf.QuadratureScheme(dim=1, node_count=64))
     x, t, h = -41.0, 0.02, 1e-4
-    drift = ev.drift(np.array([x]), t)[0]
-    fd = -(ev.log_pt_f(np.array([x + h]), t) - ev.log_pt_f(np.array([x - h]), t)) / (2 * h)
+    drift = ev.drift(np.array([[x]]), t)[0, 0]
+    log_f = ev.log_pt_f(np.array([[x + h], [x - h]]), t)
+    fd = -(log_f[0] - log_f[1]) / (2 * h)
     assert np.isfinite(drift)
     assert drift == pytest.approx(fd, rel=1e-8)
 
@@ -334,7 +334,7 @@ def test_profile_sharpness_meets_level(gh_scheme):
     T = 6.0
     p = hf.normalize(hf.sharpness(T, hf.sharpness_critical_scale(t)))
     ev = hf.SemigroupEvaluator(p, gh_scheme)
-    got = ev.log_concavity(np.array([0.0]), t)
+    got = ev.log_concavity(np.array([[0.0]]), t)[0]
     level = T * T / (3.0 * np.expm1(2.0 * t))
     assert got >= 0.9 * level
 
@@ -373,12 +373,12 @@ def test_semigroup_composition_via_tabulation(std_bump, gh_scheme):
     ev = hf.SemigroupEvaluator(std_bump, gh_scheme)
     t, s = 0.25, 0.4
     grid = np.linspace(-10, 10, 16001)
-    vt_vals = ev.v_t(grid[:, None], t)
+    vt_vals = -ev.log_pt_f(grid[:, None], t)
     mid = hf.tabulated(grid, vt_vals, normalized=True)
     ev_mid = hf.SemigroupEvaluator(mid, gh_scheme)
     xs = np.linspace(-4, 4, 17)[:, None]
-    direct = ev.pt_f(xs, s + t)
-    stepped = ev_mid.pt_f(xs, s)
+    direct = np.exp(ev.log_pt_f(xs, s + t))
+    stepped = np.exp(ev_mid.log_pt_f(xs, s))
     assert np.max(np.abs(direct - stepped)) < 1e-6
 
 
@@ -387,7 +387,7 @@ def test_sup_contraction(std_bump, gh_scheme):
     xs = np.linspace(-6, 6, 241)[:, None]
     f0 = std_bump.density(xs)
     for t in (0.2, 1.0, 4.0):
-        ft = ev.pt_f(xs, t)
+        ft = np.exp(ev.log_pt_f(xs, t))
         assert ft.max() <= f0.max() + 1e-10
         assert ft.min() >= f0.min() - 1e-10
 
@@ -395,21 +395,43 @@ def test_sup_contraction(std_bump, gh_scheme):
 def test_long_time_limit(std_bump, gh_scheme):
     ev = hf.SemigroupEvaluator(std_bump, gh_scheme)
     xs = np.linspace(-4, 4, 33)[:, None]
-    assert np.max(np.abs(ev.pt_f(xs, 10.0) - 1.0)) < 1e-4
+    assert np.max(np.abs(np.exp(ev.log_pt_f(xs, 10.0)) - 1.0)) < 1e-4
 
 
 def test_batch_matches_pointwise(bump_evaluator):
     xs = np.linspace(-2, 2, 7)
-    batch = bump_evaluator.pt_f(xs[:, None], 0.6)
-    single = np.array([bump_evaluator.pt_f(np.array([x]), 0.6) for x in xs])
-    assert np.array_equal(batch, single)
+    batch = bump_evaluator.log_pt_f(xs[:, None], 0.6)
+    rows = np.concatenate([bump_evaluator.log_pt_f(np.array([[x]]), 0.6) for x in xs])
+    assert np.array_equal(batch, rows)
+
+
+VIEWS = ("log_pt_f", "grad_pt_f", "hess_pt_f", "drift", "drift_and_hess_vt",
+         "log_concavity")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("view", VIEWS + ("ou_expectation",))
+def test_single_point_shape_rejected(view, dim):
+    # points come as (N, dim) batches only; a (dim,) point is not one
+    scheme = hf.QuadratureScheme(dim=dim, node_count=8)
+    ev = hf.SemigroupEvaluator(hf.bump(0.2, 0.6, 0.5, dim), scheme)
+
+    def call(x):
+        if view == "ou_expectation":
+            return ou_expectation(lambda p: p[..., 0], x, 0.5, scheme)
+        return getattr(ev, view)(x, 0.5)
+
+    out = call(np.full((1, dim), 0.3))
+    assert all(a.shape[0] == 1 for a in (out if isinstance(out, tuple) else (out,)))
+    with pytest.raises(ValueError, match="shape \\(N, dim\\)"):
+        call(np.full(dim, 0.3))
 
 
 def test_monte_carlo_scheme_pt_f(gaussian_one):
     mc = hf.QuadratureScheme(dim=1, kind="monte_carlo", sample_count=200_000,
                              seed=5)
     ev = hf.SemigroupEvaluator(gaussian_one, mc)
-    got = ev.pt_f(np.array([1.0]), 0.5)
+    got = np.exp(ev.log_pt_f(np.array([[1.0]]), 0.5)[0])
     e2 = np.exp(-1.0)
     want = np.exp(-0.5 * np.log(2.0 - e2) - 0.5 * e2 / (2.0 - e2)
                   + 0.5 * np.log(2.0))
