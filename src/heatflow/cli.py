@@ -114,20 +114,18 @@ def _load_config(path: str | None) -> dict:
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
     sc = cfg.get("scheme", {})
     check_keys(sc, ("kind", "node_count", "sample_count", "seed"), "scheme")
-    # built from the config's own values first, so they are validated
-    # before --quick scales the counts
-    scheme = QuadratureScheme(
+    node_count = json_int(sc, "node_count", QuadratureScheme.node_count)
+    sample_count = json_int(sc, "sample_count", QuadratureScheme.sample_count)
+    if quick:
+        node_count = _quick_count(node_count, 8)
+        sample_count = _quick_count(sample_count, 1000)
+    return QuadratureScheme(
         dim=dim,
         kind=sc.get("kind", QuadratureScheme.kind),
-        node_count=json_int(sc, "node_count", QuadratureScheme.node_count),
-        sample_count=json_int(sc, "sample_count", QuadratureScheme.sample_count),
+        node_count=node_count,
+        sample_count=sample_count,
         seed=json_int(sc, "seed", QuadratureScheme.seed),
     )
-    if quick:
-        scheme = dataclasses.replace(
-            scheme, node_count=_quick_count(scheme.node_count, 8),
-            sample_count=_quick_count(scheme.sample_count, 1000))
-    return scheme
 
 
 def _potential_dim(pcfg: dict) -> int:
@@ -151,14 +149,11 @@ def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowInt
     method = fl.get("method", "rk4")
     if method != "rk4":
         raise ValueError(f"unknown flow method {method!r}; the stepper is 'rk4'")
-    # built from the config's own values first, so they are validated
-    # before --quick scales the step count
-    fi = FlowIntegrator(evaluator,
-                        t_max=float(json_number(fl, "t_max", FlowIntegrator.t_max)),
-                        n_steps=json_int(fl, "n_steps", FlowIntegrator.n_steps))
+    t_max = float(json_number(fl, "t_max", FlowIntegrator.t_max))
+    n_steps = json_int(fl, "n_steps", FlowIntegrator.n_steps)
     if quick:
-        fi = dataclasses.replace(fi, n_steps=_quick_count(fi.n_steps, 40))
-    return fi
+        n_steps = _quick_count(n_steps, 40)
+    return FlowIntegrator(evaluator, t_max=t_max, n_steps=n_steps)
 
 
 # -- commands --------------------------------------------------------------------
@@ -408,7 +403,7 @@ def _verify_potential_job(job: dict, quick: bool) -> list[dict]:
     return checks
 
 
-def _verify_global_checks(quick: bool) -> list[dict]:
+def _verify_global_checks() -> list[dict]:
     z, w = QuadratureScheme(dim=1).nodes_weights()
     z = z[:, 0]
     checks = [
@@ -430,7 +425,7 @@ def run_verify(cfg: dict, out: Path, quick: bool) -> int:
     jobs = cfg.get("jobs")
     checks: list[dict] = []
     if jobs is None:
-        checks.extend(_verify_global_checks(quick))
+        checks.extend(_verify_global_checks())
         jobs = DEFAULT_VERIFY_JOBS
     elif not isinstance(jobs, list) or not jobs:
         # an empty list would certify a pass that rests on no check

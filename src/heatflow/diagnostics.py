@@ -50,28 +50,33 @@ def normal_cdf_scaled(x):
 # -- quadrature CDF of a 1-d target -------------------------------------------
 
 
+def _window_end(p: Potential, side: float) -> float:
+    """The first of 12, 16, ..., 92 times `side` (+1 or -1) at which p's
+    Lebesgue density is below 1e-15."""
+    for k in range(21):
+        x = side * (12.0 + 4.0 * k)
+        if p.lebesgue_density(np.array([[x]]))[0] < 1e-15:
+            return x
+    raise HeatflowError(f"target density is still >= 1e-15 at {x:g}; "
+                        "the CDF window would truncate its mass")
+
+
 class TargetCdf:
     """CDF of the probability measure proportional to e^{-V} dgamma, dim 1.
 
     Built once from a dense cumulative-Simpson pass (step 1e-3) over the
-    Lebesgue density on [-12, 12], each end widened by 4 until the density
-    there is below 1e-15, and renormalized by the computed total mass, so
-    it does not depend on the potential's own normalization constant.
-    Raises HeatflowError when that mass is not positive and finite.
+    Lebesgue density on [-12, 12], each end widened by 4 (at most 20 times,
+    to 92 on either side) until the density there is below 1e-15, and
+    renormalized by the computed total mass, so it does not depend on the
+    potential's own normalization constant.  Raises HeatflowError when
+    either end still has density >= 1e-15 after the widening (the window
+    would cut off mass) or the mass is not positive and finite.
     """
 
     def __init__(self, p: Potential):
         if p.dim != 1:
             raise ValueError("TargetCdf requires a 1-d potential")
-        lo, hi = -12.0, 12.0
-        for _ in range(20):
-            if p.lebesgue_density(np.array([[lo]]))[0] < 1e-15:
-                break
-            lo -= 4.0
-        for _ in range(20):
-            if p.lebesgue_density(np.array([[hi]]))[0] < 1e-15:
-                break
-            hi += 4.0
+        lo, hi = _window_end(p, -1.0), _window_end(p, 1.0)
         n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
         dens = p.lebesgue_density(xs[:, None])

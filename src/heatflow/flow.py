@@ -11,13 +11,16 @@ uniform in log(1 + t), so the steps are short where the drift changes
 fastest (small t) and long where it has decayed.  The spatial Jacobian
 solves dJ/dt = D^2 V_t(S_t) J and rides in the same stages as the state
 so the two stay synchronized, or is absent (None) when not requested.
-Backward runs reuse the forward drift routine with a negated step; there
-is no separate reverse-drift code path.
+Every stage is one semigroup pass at the stage time: `drift` without the
+Jacobian, `drift_and_hess_vt` with it.  Backward runs reuse the forward
+drift routine with a negated step; there is no separate reverse-drift
+code path.  Points come as (N, dim) batches only; a (dim,) array raises
+ValueError.
 
 Rows of a batch never interact, so `pushforward_samples` cuts its rows
-into spans and maps them on every CPU the process may use (forked worker
-processes); the outputs do not depend on the span sizes or the worker
-count.
+into spans of at most MAX_SPAN_ROWS rows and maps them on every CPU the
+process may use (forked worker processes); the outputs do not depend on
+the span sizes or the worker count.
 """
 
 from __future__ import annotations
@@ -31,16 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DensityUnderflowError, HeatflowError
-from .semigroup import SemigroupEvaluator
+from .semigroup import SemigroupEvaluator, _as_batch
 
-# The kink-sampling Hessian route amplifies noise like 1/t as t -> 0, so
-# the variational equation clamps Hessian evaluations below this time to
-# it; smooth potentials at t = 0 use their own Hessian directly.  A stage
-# below the floor costs two passes (the drift at t, the Hessian at the
-# floor).  On the graded grid the only such stages are the two midpoints of
-# the last step, and only once n_steps > log1p(t_max) / log1p(2e-3), about
-# 1284 steps at t_max = 12 (6000 on a uniform grid).
-T_HESS_FLOOR = 1e-3
+MAX_SPAN_ROWS = 8192    # rows in one span of pushforward_samples, at most
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,6 @@ class TransportResult:
     point: np.ndarray
     error_bound: Optional[float]
     certified: bool
-    jacobian: Optional[np.ndarray] = None
-    jacobian_norm: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -170,15 +164,9 @@ class FlowIntegrator:
     def _field(self, y, t: float):
         """(dz/dt, dJ/dt or None) at the state y = (z, J or None)."""
         z, J = y
-        t = max(t, 0.0)
         if J is None:
             return self.evaluator.drift(z, t), None
-        t_h = t if (t == 0.0 or t >= T_HESS_FLOOR) else T_HESS_FLOOR
-        if t_h == t:
-            dz, H = self.evaluator.drift_and_hess_vt(z, t)
-        else:
-            dz = self.evaluator.drift(z, t)
-            _, H = self.evaluator.drift_and_hess_vt(z, t_h)
+        dz, H = self.evaluator.drift_and_hess_vt(z, t)
         return dz, np.einsum("nde,nef->ndf", H, J)
 
     def _rk4(self, z0, grid: np.ndarray, with_jac: bool, record: bool = False):
@@ -224,7 +212,7 @@ class FlowIntegrator:
         """Trajectory of the flow from time t0 to t1 >= t0, states recorded."""
         if t1 < t0 or t0 < 0:
             raise ValueError("need 0 <= t0 <= t1")
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
+        xb = _as_batch(x, self.evaluator.potential.dim)
         grid = self._grid(t0, t1)
         path = self._rk4(xb, grid, with_jacobian, record=True)
         jacs = np.asarray([J for _, J in path]) if with_jacobian else None
@@ -241,7 +229,7 @@ class FlowIntegrator:
         those rows are dropped and the survivors rerun as one batch, so
         every other sample is bit-identical to a batch without the failures.
         """
-        yb = np.atleast_2d(np.asarray(y, dtype=float))
+        yb = _as_batch(y, self.evaluator.potential.dim)
         n, dim = yb.shape
         grid = self._grid(self.t_max, 0.0)
         z = yb.copy()
@@ -281,43 +269,37 @@ class FlowIntegrator:
         if failed.any():
             raise DensityUnderflowError("drift underflow along the trajectory")
         bound = self.truncation_error_bound()
-        point = z[0] if np.asarray(y).ndim == 1 else z
-        return TransportResult(point, bound, bound is not None)
+        return TransportResult(z, bound, bound is not None)
 
     def jacobian_along_flow(self, y: np.ndarray):
-        """(J, opnorm): spatial Jacobian of the inverse transport at y."""
-        z, J, failed = self.transport_batch(y, with_jacobian=True)
+        """(J, opnorms): spatial Jacobians of the inverse transport at the
+        rows of y and their operator norms."""
+        _, J, failed = self.transport_batch(y, with_jacobian=True)
         if failed.any():
             raise DensityUnderflowError("drift underflow along the trajectory")
-        norms = np.linalg.svd(J, compute_uv=False)[..., 0]
-        if np.asarray(y).ndim == 1:
-            return J[0], float(norms[0])
-        return J, norms
+        return J, np.linalg.svd(J, compute_uv=False)[..., 0]
 
     def pushforward_samples(self, count: int, seed: int,
-                            with_jacobian: bool = True,
-                            chunk: int = 8192) -> PushforwardSamples:
+                            with_jacobian: bool = True) -> PushforwardSamples:
         """Map `count` gamma-samples drawn from `seed` through the transport.
 
         The rows are cut into contiguous spans of about equal size, at most
-        `chunk` rows each and at least one span per CPU in the process's
-        affinity mask (while rows last).  Each span is one transport_batch
-        call, run in one of min(CPUs, spans) worker processes started with
-        "fork", which inherit the integrator and inputs; only span bounds
-        and results cross the pipe.  The spans run in this process instead
-        when one CPU is available, the "fork" start method is not, or this
-        process is a daemon.  Rows never interact, so the result is
-        deterministic for fixed (count, seed) and independent of `chunk`
-        and of the worker count, bit for bit.  Per-sample failures are
-        flagged by index, never dropped; a worker that dies raises
-        HeatflowError.  The run is certified only with a truncation bound
-        and no failed sample: a failed sample comes back at its input, not
-        within the bound of T(y).
+        MAX_SPAN_ROWS rows each and at least one span per CPU in the
+        process's affinity mask (while rows last).  Each span is one
+        transport_batch call, run in one of min(CPUs, spans) worker
+        processes started with "fork", which inherit the integrator and
+        inputs; only span bounds and results cross the pipe.  The spans run
+        in this process instead when one CPU is available, the "fork" start
+        method is not, or this process is a daemon.  Rows never interact,
+        so the result is deterministic for fixed (count, seed) and
+        independent of the span sizes and of the worker count, bit for
+        bit.  Per-sample failures are flagged by index, never dropped; a
+        worker that dies raises HeatflowError.  The run is certified only
+        with a truncation bound and no failed sample: a failed sample comes
+        back at its input, not within the bound of T(y).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
         dim = self.evaluator.potential.dim
         rng = np.random.default_rng(seed)
         inputs = rng.standard_normal((count, dim))
@@ -325,7 +307,7 @@ class FlowIntegrator:
         norms = np.empty(count) if with_jacobian else None
         failed = np.zeros(count, dtype=bool)
         workers = _worker_count()
-        n_spans = min(count, max(-(-count // chunk), workers))
+        n_spans = min(count, max(-(-count // MAX_SPAN_ROWS), workers))
         edges = [count * i // n_spans for i in range(n_spans + 1)]
         spans = list(zip(edges[:-1], edges[1:]))
         with _span_map((self, inputs, with_jacobian), min(workers, n_spans)) as span_map:

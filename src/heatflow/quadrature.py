@@ -109,9 +109,11 @@ def gaussian_expectation_adaptive(fn, dim: int, start_nodes: int = 64) -> Adapti
 
     Raises HeatflowError when the estimates keep growing by large
     factors across refinements, the signature of a divergent integral.
-    If the sequence is stable but has not met ADAPTIVE_REL_TOL at
-    ADAPTIVE_MAX_NODES, the last estimate is returned with converged=False
-    and the achieved relative change recorded.
+    Doubling stops at ADAPTIVE_MAX_NODES per axis and before one estimate
+    would take more than ADAPTIVE_MAX_NODES**2 nodes in all (256 per axis
+    in dim 3).  If the sequence is stable but has not met ADAPTIVE_REL_TOL
+    by then, the last estimate is returned with converged=False and the
+    achieved relative change recorded.
     """
     if dim > GH_TENSOR_DIM_MAX:
         raise ValueError(
@@ -131,7 +133,7 @@ def gaussian_expectation_adaptive(fn, dim: int, start_nodes: int = 64) -> Adapti
     n = start_nodes
     growth_streak = 0
     rel = np.inf
-    while n < ADAPTIVE_MAX_NODES:
+    while n < ADAPTIVE_MAX_NODES and (2 * n) ** dim <= ADAPTIVE_MAX_NODES ** 2:
         n *= 2
         cur = estimate(n)
         if not np.isfinite(cur):

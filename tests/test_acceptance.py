@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.special import ndtri
 
 import heatflow as hf
-from heatflow import cli
+from heatflow import cli, flow
 from heatflow.diagnostics import (
     empirical_lipschitz,
     ks_distance,
@@ -190,7 +190,7 @@ def test_criterion_10_drift_bound(std_bump, regularized_linear_tail, gh_scheme):
            f"worst excess {worst:.2e} <= 1e-4")
 
 
-def test_criterion_11_determinism(tmp_path, std_bump):
+def test_criterion_11_determinism(monkeypatch, tmp_path, std_bump):
     cfg = {
         "command": "transport",
         "potential": {"family": "bump", "params": {"radius": 0.5, "height": 0.5}},
@@ -210,8 +210,10 @@ def test_criterion_11_determinism(tmp_path, std_bump):
 
     # chunking (the worker-split axis) must not change a single bit
     fi = make_flow(std_bump, nodes=48, t_max=8.0, n_steps=100)
-    a = fi.pushforward_samples(500, seed=314, with_jacobian=False, chunk=500)
-    b = fi.pushforward_samples(500, seed=314, with_jacobian=False, chunk=61)
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 500)
+    a = fi.pushforward_samples(500, seed=314, with_jacobian=False)
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 61)
+    b = fi.pushforward_samples(500, seed=314, with_jacobian=False)
     chunk_ok = np.array_equal(a.outputs, b.outputs)
     report(11, identical and chunk_ok,
            "rerun CSVs byte-identical; outputs invariant to worker chunking")

@@ -23,6 +23,7 @@ from heatflow.diagnostics import (
     tail_test,
     vt_counterexample_check,
 )
+from heatflow.errors import HeatflowError
 
 
 # -- normal distribution helpers ------------------------------------------------
@@ -86,6 +87,14 @@ def test_rearrangement_map_monotone(std_bump):
     ys = np.linspace(-3, 3, 25)
     out = rearrangement_map(std_bump, ys)
     assert np.all(np.diff(out) > 0)
+
+
+def test_target_cdf_refuses_a_truncated_window():
+    # N(0, 1000) still has density 2.4e-4 at the widest window end, 92;
+    # a CDF cut off there would map 2 to 62.26 instead of 63.25
+    p = hf.normalize(hf.gaussian(-0.999))
+    with pytest.raises(HeatflowError, match="truncate"):
+        rearrangement_map(p, np.array([2.0]))
 
 
 # -- Kolmogorov-Smirnov ----------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 import heatflow as hf
 from heatflow import cli, flow, semigroup
 from heatflow.errors import DensityUnderflowError, HeatflowError
-from heatflow.diagnostics import empirical_lipschitz, ks_distance, rearrangement_map
-from heatflow.flow import T_HESS_FLOOR
+from heatflow.diagnostics import (TargetCdf, empirical_lipschitz, ks_distance, normal_pdf,
+                                  rearrangement_map)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -35,15 +35,26 @@ def flow_const():
 
 
 def test_constant_potential_trajectory_is_constant(flow_const):
-    rec = flow_const.forward_flow(np.array([1.3]), 0.0, 3.0)
+    rec = flow_const.forward_flow(np.array([[1.3]]), 0.0, 3.0)
     assert np.max(np.abs(rec.states - 1.3)) < 1e-12
 
 
 def test_constant_potential_identity_transport(flow_const):
-    res = flow_const.inverse_transport(np.array([0.8]))
-    assert res.point[0] == pytest.approx(0.8, abs=1e-12)
-    J, nrm = flow_const.jacobian_along_flow(np.array([0.8]))
-    assert nrm == pytest.approx(1.0, abs=1e-12)
+    res = flow_const.inverse_transport(np.array([[0.8]]))
+    assert res.point[0, 0] == pytest.approx(0.8, abs=1e-12)
+    J, nrm = flow_const.jacobian_along_flow(np.array([[0.8]]))
+    assert nrm[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("method", ["forward_flow", "transport_batch",
+                                    "inverse_transport", "jacobian_along_flow"])
+def test_flow_methods_reject_a_single_point(method, dim):
+    # points come as (N, dim) batches only, as in the semigroup views
+    fi = make_flow(hf.bump(0.2, 0.6, 0.5, dim), t_max=1.0, n_steps=2, nodes=8)
+    args = (0.0, 1.0) if method == "forward_flow" else ()
+    with pytest.raises(ValueError, match=r"shape \(N, dim\)"):
+        getattr(fi, method)(np.full(dim, 0.3), *args)
 
 
 # -- Gaussian closed forms ----------------------------------------------------------
@@ -51,28 +62,27 @@ def test_constant_potential_identity_transport(flow_const):
 
 def test_forward_flow_gaussian_endpoint(gaussian_one, flow_one):
     # scalar linear drift rho_t z integrates to z sqrt(1 + rho (1 - e^{-2t}))
-    rec = flow_one.forward_flow(np.array([1.0]), 0.0, 8.0)
+    rec = flow_one.forward_flow(np.array([[1.0]]), 0.0, 8.0)
     want = np.sqrt(1.0 + 1.0 * (1.0 - np.exp(-16.0)))
     assert rec.endpoint[0, 0] == pytest.approx(want, abs=1e-6)
     assert rec.endpoint[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
 
 def test_inverse_transport_gaussian(flow_one):
-    res = flow_one.inverse_transport(np.array([2.0]))
-    assert res.point[0] == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-3)
+    res = flow_one.inverse_transport(np.array([[2.0]]))
+    assert res.point[0, 0] == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-3)
     # no declared gradient bound: returned but uncertified
     assert not res.certified and res.error_bound is None
 
 
 def test_jacobian_gaussian(flow_one):
-    for y in (-1.5, 0.3, 2.0):
-        _, nrm = flow_one.jacobian_along_flow(np.array([y]))
-        assert nrm == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-4)
+    _, nrm = flow_one.jacobian_along_flow(np.array([[-1.5], [0.3], [2.0]]))
+    assert nrm == pytest.approx(np.full(3, 1.0 / np.sqrt(2.0)), abs=1e-4)
 
 
 def test_certified_error_bound_for_bounded_family(std_bump):
     fi = make_flow(std_bump, t_max=10.0, n_steps=150, nodes=64)
-    res = fi.inverse_transport(np.array([1.0]))
+    res = fi.inverse_transport(np.array([[1.0]]))
     assert res.certified
     assert res.error_bound == pytest.approx(
         np.exp(-10.0) * std_bump.grad_sup_norm, rel=1e-12)
@@ -81,7 +91,7 @@ def test_certified_error_bound_for_bounded_family(std_bump):
 @pytest.mark.parametrize("t0,t1,n", [(0.0, 3.0, 7), (0.5, 12.0, 300), (0.0, 12.0, 600)])
 def test_forward_grid_hits_both_ends_and_is_monotone(flow_const, t0, t1, n):
     fi = make_flow(flow_const.evaluator.potential, n_steps=n, nodes=8)
-    rec = fi.forward_flow(np.array([0.4]), t0, t1)
+    rec = fi.forward_flow(np.array([[0.4]]), t0, t1)
     assert rec.times.size == n + 1
     assert rec.times[0] == t0 and rec.times[-1] == t1
     assert np.all(np.diff(rec.times) > 0)
@@ -145,8 +155,11 @@ def count_passes(monkeypatch):
 
 def _jacobian_runs():
     # (t_max, n_steps) of every shipped transport config with the Jacobian
-    # on, plus the acceptance gate's Jacobian run (criterion 11)
+    # on, the acceptance gate's Jacobian run (criterion 11), and step
+    # counts on both sides of 1284, from which the last step's midpoints
+    # lie below 1e-3 at t_max 12
     runs = {"criterion_11": (8.0, 100)}
+    runs |= {f"t_max_12_n_{n}": (12.0, n) for n in (1283, 1284, 1500, 3000)}
     for path in sorted(CONFIGS.glob("transport_*.json")):
         cfg = json.loads(path.read_text())
         if cfg.get("with_jacobian", True):
@@ -156,8 +169,7 @@ def _jacobian_runs():
 
 @pytest.mark.parametrize("run", sorted(_jacobian_runs()))
 def test_jacobian_run_makes_one_pass_per_stage(monkeypatch, std_bump, run):
-    # the first stage midpoint stays above T_HESS_FLOOR, so every stage is
-    # a single drift_and_hess_vt pass
+    # every stage is a single drift_and_hess_vt pass at the stage time
     t_max, n = _jacobian_runs()[run]
     fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
     calls = count_passes(monkeypatch)
@@ -165,17 +177,31 @@ def test_jacobian_run_makes_one_pass_per_stage(monkeypatch, std_bump, run):
     assert calls == {"drift": 0, "drift_and_hess_vt": 4 * n}
 
 
-def test_hess_floor_splits_first_stage_past_threshold(monkeypatch, std_bump):
-    # the last step runs from expm1(du) to 0, du = log1p(t_max) / n; once its
-    # midpoint falls below T_HESS_FLOOR its two midpoint stages make a drift
-    # pass at t plus a Hessian pass at the floor
-    t_max = 12.0
-    n_split = int(np.floor(np.log1p(t_max) / np.log1p(2.0 * T_HESS_FLOOR))) + 1
-    for n, extra in ((n_split - 1, 0), (n_split, 2)):
-        fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
-        calls = count_passes(monkeypatch)
-        fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
-        assert calls == {"drift": extra, "drift_and_hess_vt": 4 * n}
+def test_jacobian_matches_rearrangement_derivative(std_bump):
+    # in 1-d the map is the monotone rearrangement T, whose derivative is
+    # T'(y) = phi(y) / rho(T(y)); at 1500 steps the last step's midpoints
+    # lie below 1e-3, and the Jacobian still converges there
+    fi = make_flow(std_bump, t_max=12.0, n_steps=1500, nodes=64)
+    ys = np.linspace(-2.5, 2.5, 41)
+    J, _ = fi.jacobian_along_flow(ys[:, None])
+    z = rearrangement_map(std_bump, ys)
+    rho = std_bump.lebesgue_density(z[:, None]) / TargetCdf(std_bump).total_mass
+    assert np.max(np.abs(J[:, 0, 0] - normal_pdf(ys) / rho)) <= 1e-6
+
+
+@pytest.mark.parametrize("dim, n_steps, nodes, tol_z, tol_j",
+                         [(1, 200, 64, 3e-9, 2e-8), (2, 100, 24, 5e-8, 2e-7)])
+def test_forward_then_backward_is_identity(std_bump, dim, n_steps, nodes, tol_z, tol_j):
+    # forward_flow from 0 to t_max and transport_batch back from t_max are
+    # inverse maps, and so their Jacobians are inverse matrices
+    p = std_bump if dim == 1 else hf.normalize(hf.bump((0.3, -0.2), 0.6, 0.5, dim=2))
+    fi = make_flow(p, t_max=10.0, n_steps=n_steps, nodes=nodes)
+    xs = np.random.default_rng(3).standard_normal((16, dim))
+    rec = fi.forward_flow(xs, 0.0, fi.t_max, with_jacobian=True)
+    z, J_back, failed = fi.transport_batch(rec.endpoint, with_jacobian=True)
+    assert not failed.any()
+    assert np.max(np.abs(z - xs)) <= tol_z
+    assert np.max(np.abs(J_back @ rec.jacobians[-1] - np.eye(dim))) <= tol_j
 
 
 # -- structural invariants ------------------------------------------------------------
@@ -225,10 +251,10 @@ def test_jacobian_bounded_by_profile_integral(std_bump):
 
 
 def test_halving_steps_stable(flow_one):
-    y = np.array([1.7])
+    y = np.array([[1.7]])
     a = make_flow(flow_one.evaluator.potential, n_steps=300).inverse_transport(y)
     b = make_flow(flow_one.evaluator.potential, n_steps=600).inverse_transport(y)
-    assert abs(a.point[0] - b.point[0]) < 1e-7
+    assert abs(a.point[0, 0] - b.point[0, 0]) < 1e-7
 
 
 # -- sampling harness ----------------------------------------------------------------------
@@ -248,11 +274,13 @@ DIM_CASES = ([pytest.param(1, j, id=str(j)) for j in (False, True)]
 
 
 @pytest.mark.parametrize("dim, with_jacobian", DIM_CASES)
-def test_pushforward_chunk_independent(std_bump, dim, with_jacobian):
+def test_pushforward_chunk_independent(monkeypatch, std_bump, dim, with_jacobian):
     p = std_bump if dim == 1 else hf.bump((0.3, -0.2), 0.6, 0.5, dim=2)
     fi = make_flow(p, t_max=8.0, n_steps=100, nodes=48 if dim == 1 else 8)
-    a = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=500)
-    b = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian, chunk=77)
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 500)
+    a = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian)
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 77)
+    b = fi.pushforward_samples(500, seed=9, with_jacobian=with_jacobian)
     assert np.array_equal(a.outputs, b.outputs)
     if with_jacobian:
         assert np.array_equal(a.jacobian_norms, b.jacobian_norms)
@@ -282,22 +310,16 @@ def parent_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_pushforward_rejects_bad_chunk(std_bump, chunk):
-    fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
-    with pytest.raises(ValueError, match="chunk"):
-        fi.pushforward_samples(10, seed=0, chunk=chunk)
-
-
 def test_spans_contiguous_at_most_chunk_about_equal(monkeypatch, std_bump, parent_calls):
     monkeypatch.setattr(flow, "_worker_count", lambda: 1)
     fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
-    fi.pushforward_samples(500, seed=9, with_jacobian=False, chunk=77)
-    assert sum(parent_calls) == 500
-    assert max(parent_calls) <= 77 and max(parent_calls) - min(parent_calls) <= 1
-    parent_calls.clear()
     fi.pushforward_samples(500, seed=9, with_jacobian=False)
     assert parent_calls == [500]
+    parent_calls.clear()
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 77)
+    fi.pushforward_samples(500, seed=9, with_jacobian=False)
+    assert sum(parent_calls) == 500
+    assert max(parent_calls) <= 77 and max(parent_calls) - min(parent_calls) <= 1
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
@@ -308,9 +330,9 @@ def test_pushforward_worker_count_independent(monkeypatch, std_bump, parent_call
     for workers in (1, 2, 3):
         monkeypatch.setattr(flow, "_worker_count", lambda: workers)
         for chunk in (77, 8192):
+            monkeypatch.setattr(flow, "MAX_SPAN_ROWS", chunk)
             parent_calls.clear()
-            ps = fi.pushforward_samples(300, seed=4, with_jacobian=with_jacobian,
-                                        chunk=chunk)
+            ps = fi.pushforward_samples(300, seed=4, with_jacobian=with_jacobian)
             # with more than one worker no span runs in this process
             assert (sum(parent_calls) == 300) == (workers == 1)
             runs[workers, chunk] = pushforward_bytes(ps)
@@ -341,9 +363,10 @@ def test_pushforward_zero_density_row_flagged_on_workers(monkeypatch, walled_gau
     z_ok, J_ok, failed_ok = fi.transport_batch(ys[keep], with_jacobian=with_jacobian)
     assert not failed_ok.any()
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRng(ys))
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 7)
     for workers in (1, 2, 3):
         monkeypatch.setattr(flow, "_worker_count", lambda: workers)
-        ps = fi.pushforward_samples(40, seed=0, with_jacobian=with_jacobian, chunk=7)
+        ps = fi.pushforward_samples(40, seed=0, with_jacobian=with_jacobian)
         assert ps.failed_indices.tolist() == [23]
         assert not ps.certified
         assert ps.outputs[23, 0] == -50.0
@@ -356,7 +379,7 @@ def test_pushforward_zero_density_row_flagged_on_workers(monkeypatch, walled_gau
 
 def _pushforward_in_daemon(fi, conn):
     try:
-        conn.send(pushforward_bytes(fi.pushforward_samples(60, seed=5, chunk=7)))
+        conn.send(pushforward_bytes(fi.pushforward_samples(60, seed=5)))
     except BaseException as exc:        # report, never hang the test
         conn.send(repr(exc))
     conn.close()
@@ -368,6 +391,7 @@ def test_pushforward_in_daemon_runs_serially(monkeypatch, std_bump):
     monkeypatch.setattr(flow, "_worker_count", lambda: 1)
     serial = pushforward_bytes(fi.pushforward_samples(60, seed=5))
     monkeypatch.setattr(flow, "_worker_count", lambda: 2)
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 7)    # the forked daemon inherits it
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_pushforward_in_daemon, args=(fi, send), daemon=True)
@@ -414,9 +438,10 @@ def raising_in_worker(exc):
 def test_worker_exception_reaches_caller_intact(monkeypatch, std_bump, exc):
     monkeypatch.setattr(flow, "_worker_count", lambda: 2)
     monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", raising_in_worker(exc))
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 7)
     fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
     with pytest.raises(type(exc)) as info:
-        fi.pushforward_samples(50, seed=1, chunk=7)
+        fi.pushforward_samples(50, seed=1)
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     assert getattr(info.value, "rows", None) == getattr(exc, "rows", None)
     assert multiprocessing.active_children() == []
@@ -425,9 +450,10 @@ def test_worker_exception_reaches_caller_intact(monkeypatch, std_bump, exc):
 def test_dead_worker_raises_heatflow_error(monkeypatch, std_bump):
     monkeypatch.setattr(flow, "_worker_count", lambda: 2)
     monkeypatch.setattr(hf.FlowIntegrator, "transport_batch", raising_in_worker(None))
+    monkeypatch.setattr(flow, "MAX_SPAN_ROWS", 7)
     fi = make_flow(std_bump, t_max=8.0, n_steps=20, nodes=16)
     with pytest.raises(HeatflowError, match="worker process died"):
-        fi.pushforward_samples(50, seed=1, chunk=7)
+        fi.pushforward_samples(50, seed=1)
     assert multiprocessing.active_children() == []
 
 

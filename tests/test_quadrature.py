@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatflow as hf
+from heatflow import quadrature
 from heatflow.errors import HeatflowError
 from heatflow.quadrature import (
     gauss_hermite_1d,
@@ -65,6 +66,24 @@ def test_adaptive_gaussian_mass():
 def test_adaptive_divergence_detected():
     with pytest.raises(HeatflowError, match="grow without stabilizing"):
         gaussian_expectation_adaptive(lambda z: 0.6 * z[:, 0] ** 2, dim=1)
+
+
+@pytest.mark.parametrize("dim, n_last", [(1, 4096), (2, 4096), (3, 256)])
+def test_adaptive_caps_nodes_in_all(monkeypatch, dim, n_last):
+    # an estimate that never settles doubles until one more doubling would
+    # take over ADAPTIVE_MAX_NODES**2 nodes in all (or the per-axis cap);
+    # the stub records the request and returns one node
+    asked = []
+
+    def one_node(n, d):
+        asked.append((n, d))
+        return np.zeros((1, d)), np.array([1.0 + 1.0 / n])
+
+    monkeypatch.setattr(quadrature, "_tensor_nodes", one_node)
+    res = gaussian_expectation_adaptive(lambda z: np.zeros(len(z)), dim, start_nodes=16)
+    assert not res.converged
+    assert res.node_count == n_last and asked[-1] == (n_last, dim)
+    assert max(n ** d for n, d in asked) <= quadrature.ADAPTIVE_MAX_NODES ** 2
 
 
 @settings(max_examples=25, deadline=None)
