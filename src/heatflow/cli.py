@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import __version__, bounds, diagnostics, potentials
 from .errors import HeatflowError
@@ -332,15 +331,16 @@ def profile_integral_check(lams) -> dict:
     """Worst gap between the closed-form profile integrals (c = 0) and
     adaptive quadrature, split at fractions of each lam's switch time (all
     inside the curvature route's domain)."""
+    from scipy.integrate import quad
     worst = 0.0
     for lam in lams:
         s_star = bounds.switch_time(lam)
         for s in (0.5 * s_star, s_star, 1.5 * s_star):
             head, tail = bounds.profile_integral_split(lam, 0.0, s)
-            num_head = integrate.quad(
+            num_head = quad(
                 lambda t: bounds.curvature_profile_value(lam, t), 0, s,
                 epsabs=1e-13, epsrel=1e-13)[0]
-            num_tail = integrate.quad(
+            num_tail = quad(
                 lambda t: bounds.oscillation_profile_value(0.0, t), s, np.inf,
                 epsabs=1e-13, epsrel=1e-13)[0]
             worst = max(worst, abs(head - num_head), abs(tail - num_tail))

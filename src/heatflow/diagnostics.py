@@ -4,6 +4,10 @@ Everything here deliberately avoids the semigroup/flow code paths it is
 used to check: the 1-d monotone rearrangement inverts a quadrature CDF,
 the sharpness family has closed forms, and the spike-family refutation
 runs through direct adaptive quadrature.
+
+Each scipy routine (scipy.special, integrate, interpolate, optimize) is
+imported inside the function that calls it, so importing this module, as
+`import heatflow` does, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -12,10 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import erfcx, ndtr
 
 from .errors import HeatflowError
 from .potentials import Potential, vt_counterexample
@@ -39,11 +39,13 @@ def normal_pdf(x):
 
 def normal_cdf(x):
     """Phi via the erf-style library routine; |error| < 1e-15 over the line."""
+    from scipy.special import ndtr
     return ndtr(x)
 
 
 def normal_cdf_scaled(x):
     """e^{x^2/2} Phi(-x), stable for arbitrarily large x >= 0."""
+    from scipy.special import erfcx
     return 0.5 * erfcx(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -74,13 +76,15 @@ class TargetCdf:
     """
 
     def __init__(self, p: Potential):
+        from scipy.integrate import cumulative_simpson
+        from scipy.interpolate import PchipInterpolator
         if p.dim != 1:
             raise ValueError("TargetCdf requires a 1-d potential")
         lo, hi = _window_end(p, -1.0), _window_end(p, 1.0)
         n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
         dens = p.lebesgue_density(xs[:, None])
-        cum = integrate.cumulative_simpson(dens, x=xs, initial=0.0)
+        cum = cumulative_simpson(dens, x=xs, initial=0.0)
         self.total_mass = float(cum[-1])
         if not np.isfinite(self.total_mass) or self.total_mass <= 0:
             raise HeatflowError("target mass is not positive-finite")
@@ -92,6 +96,7 @@ class TargetCdf:
         return np.clip(self._interp(np.clip(x, self.lo, self.hi)), 0.0, 1.0)
 
     def quantile(self, q: float) -> float:
+        from scipy.optimize import brentq
         if not 0.0 < q < 1.0:
             raise ValueError("quantile defined for q in (0, 1)")
         return float(brentq(lambda x: self._interp(x) - q, self.lo, self.hi,
@@ -248,6 +253,7 @@ def sharpness_profile(x: float, T: float) -> float:
 
 def sharpness_h0(T: float) -> float:
     """h(0) = e^{T^2/2} 2 Phi(-T) + sqrt(2/pi) T, in overflow-proof form."""
+    from scipy.special import erfcx
     return float(erfcx(T / np.sqrt(2.0)) + np.sqrt(2.0 / np.pi) * T)
 
 
@@ -315,25 +321,27 @@ def vt_counterexample_check(T: float, l: float | None = None) -> VtCheck:
     the honest isoperimetric bound mu / (sqrt(2 pi) g(T)) and the analytic
     threshold (16/17) exp(95 T^2 / 512) reconstructed from its exponent
     pieces 3/4 - 289/512.  A map with constant l < the isoperimetric bound
-    cannot push gamma onto this target.
+    cannot push gamma onto this target; a given l must be >= 0.
     """
+    from scipy.integrate import quad
     if T <= 0:
         raise ValueError("T must be positive")
+    if l is not None and l < 0:
+        raise ValueError("l must be >= 0")
     W = lambda x: np.maximum(0.0, T * T / 4.0 - 64.0 * (x - T) ** 2)
     dens0 = lambda x: np.exp(-W(x)) * normal_pdf(x)   # un-normalized vs Lebesgue
     lo, hi = 15.0 * T / 16.0, 17.0 * T / 16.0
     mass, mass_err = 0.0, 0.0
     for a, b in ((-np.inf, lo), (lo, hi), (hi, np.inf)):
-        val, err = integrate.quad(dens0, a, b, limit=300, epsabs=1e-13,
-                                  epsrel=1e-12)
+        val, err = quad(dens0, a, b, limit=300, epsabs=1e-13, epsrel=1e-12)
         mass += val
         mass_err += err
     if mass_err > 1e-9:
         raise HeatflowError("spike-family mass quadrature too inaccurate")
     c_T = float(-np.log(mass))
 
-    tail = (integrate.quad(dens0, T, hi, limit=300, epsabs=1e-14)[0]
-            + integrate.quad(dens0, hi, np.inf, epsabs=1e-14)[0])
+    tail = (quad(dens0, T, hi, limit=300, epsabs=1e-14)[0]
+            + quad(dens0, hi, np.inf, epsabs=1e-14)[0])
     mu_tail = float(np.exp(c_T) * tail)
     if mu_tail > 0.5:
         raise ValueError(
@@ -374,6 +382,7 @@ def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
     with any such pushforward (the refutation used by the linear-tail
     example, whose log tail is exactly affine).
     """
+    from scipy.integrate import quad
     if p.dim != 1:
         raise ValueError("tail_test requires a 1-d potential")
     xs = np.asarray(xs, dtype=float)
@@ -387,7 +396,7 @@ def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
         edges = [a] + cuts + [b]
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            total += integrate.quad(dens, lo, hi, limit=300)[0]
+            total += quad(dens, lo, hi, limit=300)[0]
         return total
 
     total = quad_segmented(-np.inf, np.inf)

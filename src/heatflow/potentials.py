@@ -751,7 +751,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
     check_keys(cfg, source + _METADATA_KEYS + ("transforms", "normalize"),
                "potential config")
     if "family" in cfg:
-        params = cfg.get("params") or {}
+        params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"params must be a JSON object, got {params!r}")
         for key in params:                 # the family's signature checks the names
@@ -769,7 +769,10 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
     if overrides:
         pot = dataclasses.replace(pot, **overrides)
 
-    for tr in cfg.get("transforms", []):
+    transforms = cfg.get("transforms", [])
+    if not isinstance(transforms, list):
+        raise ValueError(f"transforms must be a JSON list, got {transforms!r}")
+    for tr in transforms:
         op = tr.get("op") if isinstance(tr, dict) else None
         if op not in _TRANSFORM_KEYS:
             raise ValueError(f"unknown transform {op!r}")

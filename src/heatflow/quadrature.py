@@ -4,6 +4,10 @@ All weights use the probabilists' normalization, so a scheme integrates
 against the standard Gaussian measure directly: sum(w) = 1, sum(w z) = 0,
 sum(w z^2) = 1 per axis.  Gauss-Hermite tensorizes up to dimension 3;
 higher dimensions must use the Monte Carlo scheme.
+
+The Gauss-Hermite roots come from scipy.special, imported inside
+`gauss_hermite_1d`, so a job that builds no Gauss-Hermite rule loads no
+scipy module.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .errors import HeatflowError
 
@@ -28,6 +31,7 @@ def gauss_hermite_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     scipy's hermitenorm roots stay finite for n in the thousands, unlike
     the numpy recurrences which overflow past a few hundred nodes.
     """
+    from scipy.special import roots_hermitenorm
     if n < 1:
         raise ValueError("node count must be >= 1")
     z, w = roots_hermitenorm(int(n))

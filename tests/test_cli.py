@@ -401,7 +401,8 @@ GAUSSIAN = {"family": "gaussian", "params": {"rho": 1.0}}
 
 # bad input of every kind exits 2: values out of range, a dimension above
 # the Gauss-Hermite cap, a malformed verify job, unknown keys, a string
-# where a flag or a number belongs, and the NaN literal json.load accepts
+# where a flag or a number belongs, the NaN literal json.load accepts, a
+# negative Lipschitz constant, and params or transforms of the wrong JSON type
 CONFIG_ERRORS = {
     "bound_negative_c": {"command": "bound", "lambda": 2.0, "c": -1.0},
     "profile_negative_c": {"command": "profile", "lambda": 2.0, "c": -0.5},
@@ -418,6 +419,14 @@ CONFIG_ERRORS = {
                     "with_jacobian": "false"},
     "string_number": {"command": "counterexample", "kind": "vt", "T": 6.0, "l": "50"},
     "nan_number": {"command": "bound", "lambda": float("nan")},
+    "negative_lipschitz": {"command": "counterexample", "kind": "vt", "T": 6.0, "l": -5.0},
+    **{f"params_{name}": {"command": "transport", "samples": 3,
+                          "potential": {"family": "bump", "params": bad}}
+       for name, bad in (("list", []), ("zero", 0), ("empty_string", ""),
+                         ("false", False), ("null", None))},
+    **{f"transforms_{name}": {"command": "transport", "samples": 3,
+                              "potential": {"family": "bump", "transforms": bad}}
+       for name, bad in (("empty_object", {}), ("one_op", {"op": "mollify", "sigma": 0.5}))},
     **{f"envelope_{name}": {
         "command": "transport", "samples": 3,
         "potential": {"family": "linear_tail", "transforms": [

@@ -273,6 +273,10 @@ def test_vt_refutation_flag():
     assert chk.l_refuted is True
     chk2 = vt_counterexample_check(6.0, l=1e6)
     assert chk2.l_refuted is False
+    # l = 0 is a valid constant, and no constant map reaches the target
+    assert vt_counterexample_check(6.0, l=0.0).l_refuted is True
+    with pytest.raises(ValueError, match="l must be >= 0"):
+        vt_counterexample_check(6.0, l=-5.0)
 
 
 def test_vt_isoperimetric_consistency_with_certified_map(gaussian_one):

@@ -563,6 +563,10 @@ def test_from_config_rejects_unknown_family():
      "'grad_sup_norm' must be a JSON number"),
     ({"family": "gaussian", "params": {"rho": 1.0}, "normalize": "false"},
      "'normalize' must be true or false"),
+    *[({"family": "bump", "params": bad}, "params must be a JSON object")
+      for bad in ([], 0, "", False, None)],
+    *[({"family": "bump", "transforms": bad}, "transforms must be a JSON list")
+      for bad in ({}, {"op": "mollify", "sigma": 0.5}, "mollify", None)],
 ])
 def test_from_config_rejects_unknown_keys_and_non_json_types(cfg, match):
     with pytest.raises(ValueError, match=match):
