@@ -329,21 +329,26 @@ def _check(name: str, measured: float, bound: float, tolerance: float) -> dict:
 
 def profile_integral_check(lams) -> dict:
     """Worst gap between the closed-form profile integrals (c = 0) and
-    adaptive quadrature, split at fractions of each lam's switch time (all
-    inside the curvature route's domain)."""
-    from scipy.integrate import quad
-    worst = 0.0
+    tanh-sinh quadrature, split at fractions of each lam's switch time (all
+    inside the curvature route's domain).  One vectorized call per lam
+    covers its three heads and one more covers every tail; an integral that
+    does not converge raises HeatflowError."""
+    tol = {"atol": 1e-13, "rtol": 1e-13}
+    splits, tails, worst = [], [], 0.0
     for lam in lams:
-        s_star = bounds.switch_time(lam)
-        for s in (0.5 * s_star, s_star, 1.5 * s_star):
-            head, tail = bounds.profile_integral_split(lam, 0.0, s)
-            num_head = quad(
-                lambda t: bounds.curvature_profile_value(lam, t), 0, s,
-                epsabs=1e-13, epsrel=1e-13)[0]
-            num_tail = quad(
-                lambda t: bounds.oscillation_profile_value(0.0, t), s, np.inf,
-                epsabs=1e-13, epsrel=1e-13)[0]
-            worst = max(worst, abs(head - num_head), abs(tail - num_tail))
+        s = bounds.switch_time(lam) * np.array([0.5, 1.0, 1.5])
+        head, tail = np.array([bounds.profile_integral_split(lam, 0.0, si)
+                               for si in s]).T
+        num_head = diagnostics.tanhsinh_integrals(
+            lambda t: bounds.curvature_profile_value(lam, t), 0.0, s,
+            f"the curvature route (lam={lam:g})", **tol)
+        worst = max(worst, float(np.max(np.abs(head - num_head))))
+        splits.append(s)
+        tails.append(tail)
+    num_tail = diagnostics.tanhsinh_integrals(
+        lambda t: bounds.oscillation_profile_value(0.0, t), np.concatenate(splits),
+        np.inf, "the oscillation route (c=0)", **tol)
+    worst = max(worst, float(np.max(np.abs(np.concatenate(tails) - num_tail))))
     return _check("profile_integrals_closed_form", worst, 0.0, 1e-10)
 
 

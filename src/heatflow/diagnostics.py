@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the semigroup/flow code paths it is
 used to check: the 1-d monotone rearrangement inverts a quadrature CDF,
-the sharpness family has closed forms, and the spike-family refutation
-runs through direct adaptive quadrature.
+the sharpness family has closed forms, the spike-family refutation runs
+through direct adaptive quadrature, and the tail test through vectorized
+tanh-sinh quadrature.
 
 Each scipy routine (scipy.special, integrate, interpolate, optimize) is
 imported inside the function that calls it, so importing this module, as
@@ -28,6 +29,8 @@ LIPSCHITZ_MAX_EXACT = 2000
 LIPSCHITZ_PAIR_BUDGET = 1_000_000
 LIPSCHITZ_PAIR_SEED = 7
 TAIL_INCOMPATIBILITY_LEVEL = -0.02
+# tail_test's window ends where the Lebesgue density is below this
+TAIL_DENSITY_FLOOR = 1e-300
 
 
 # -- standard normal helpers --------------------------------------------------
@@ -52,15 +55,30 @@ def normal_cdf_scaled(x):
 # -- quadrature CDF of a 1-d target -------------------------------------------
 
 
-def _window_end(p: Potential, side: float) -> float:
-    """The first of 12, 16, ..., 92 times `side` (+1 or -1) at which p's
-    Lebesgue density is below 1e-15."""
-    for k in range(21):
-        x = side * (12.0 + 4.0 * k)
-        if p.lebesgue_density(np.array([[x]]))[0] < 1e-15:
+def _window_end(p: Potential, side: float, ends, floor: float) -> float:
+    """The first of `ends` times `side` (+1 or -1) at which p's Lebesgue
+    density is below `floor` (a NaN density is not below it)."""
+    for e in ends:
+        x = side * e
+        if p.lebesgue_density(np.array([[x]]))[0] < floor:
             return x
-    raise HeatflowError(f"target density is still >= 1e-15 at {x:g}; "
-                        "the CDF window would truncate its mass")
+    raise HeatflowError(f"target density is still >= {floor:g} at {x:g}; "
+                        "the window would truncate its mass")
+
+
+def tanhsinh_integrals(f, a, b, what: str, **tolerances) -> np.ndarray:
+    """Integrals of the elementwise f over [a, b] (broadcast arrays) from one
+    vectorized tanh-sinh call (Takahasi-Mori); raises HeatflowError naming
+    `what` and the first interval whose integral did not converge."""
+    from scipy.integrate import tanhsinh
+    res = tanhsinh(f, a, b, **tolerances)
+    bad = np.flatnonzero(res.status != 0)
+    if bad.size:
+        a, b, status = (np.broadcast_to(v, res.status.shape).ravel()[bad[0]]
+                        for v in (a, b, res.status))
+        raise HeatflowError(f"tanh-sinh quadrature of {what} on [{a:g}, {b:g}] "
+                            f"did not converge (status {status})")
+    return res.integral
 
 
 class TargetCdf:
@@ -80,7 +98,8 @@ class TargetCdf:
         from scipy.interpolate import PchipInterpolator
         if p.dim != 1:
             raise ValueError("TargetCdf requires a 1-d potential")
-        lo, hi = _window_end(p, -1.0), _window_end(p, 1.0)
+        ends = 12.0 + 4.0 * np.arange(21)
+        lo, hi = (_window_end(p, side, ends, 1e-15) for side in (-1.0, 1.0))
         n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
         dens = p.lebesgue_density(xs[:, None])
@@ -380,31 +399,44 @@ def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
     like -x^2/(2 L^2); a fitted quadratic coefficient above
     TAIL_INCOMPATIBILITY_LEVEL therefore flags the target as incompatible
     with any such pushforward (the refutation used by the linear-tail
-    example, whose log tail is exactly affine).
+    example, whose log tail is exactly affine).  The fit reads only the
+    tail, so every abscissa must have tail mass <= 1/2, and it needs at
+    least 3 distinct abscissas; otherwise ValueError.
+
+    The masses come from one vectorized tanh-sinh call over every
+    (abscissa, segment) pair, split at p.kinks, on a finite window: each
+    end is the first of 8, 16, ..., 2^14 (times -1 on the left) where the
+    Lebesgue density is below TAIL_DENSITY_FLOOR.  tanh-sinh samples an
+    infinite limb near 1e300, where a potential such as linear_tail
+    cancels catastrophically.  No such end, or an integral that does not
+    converge, raises HeatflowError.
     """
-    from scipy.integrate import quad
     if p.dim != 1:
         raise ValueError("tail_test requires a 1-d potential")
     xs = np.asarray(xs, dtype=float)
-    if xs.size < 3:
-        raise ValueError("need at least 3 abscissas to fit")
-    dens = lambda x: p.lebesgue_density(np.array([[x]]))[0]
-
-    def quad_segmented(a, b):
-        """Adaptive quadrature split at kinks; infinite limbs carry no break points."""
-        cuts = sorted(k for k in p.kinks if a < k < b)
-        edges = [a] + cuts + [b]
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += quad(dens, lo, hi, limit=300)[0]
-        return total
-
-    total = quad_segmented(-np.inf, np.inf)
-    tails = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        tails[i] = quad_segmented(x, np.inf) / total
-        if not np.isfinite(tails[i]) or tails[i] <= 0:
+    if np.unique(xs).size < 3:
+        raise ValueError("need at least 3 distinct abscissas to fit")
+    ends = 2.0 ** np.arange(3, 15)
+    lo, hi = (_window_end(p, side, ends, TAIL_DENSITY_FLOOR) for side in (-1.0, 1.0))
+    # row 0 is the total mass, row i + 1 the tail from xs[i]
+    a, b, owner = [], [], []
+    for i, start in enumerate(np.concatenate([[lo], xs])):
+        edges = [start, *sorted(k for k in p.kinks if start < k < hi), hi]
+        a += edges[:-1]
+        b += edges[1:]
+        owner += [i] * (len(edges) - 1)
+    # a segment whose mass is below the floor (kinks far out) converges at 0
+    seg = tanhsinh_integrals(lambda x: p.lebesgue_density(x[..., None]),
+                             np.array(a), np.array(b), "the Lebesgue density",
+                             atol=TAIL_DENSITY_FLOOR)
+    masses = np.bincount(owner, weights=seg)
+    tails = masses[1:] / masses[0]
+    for x, tail in zip(xs, tails):
+        if not np.isfinite(tail) or tail <= 0:
             raise HeatflowError(f"tail mass at x={x} not positive-finite")
+        if tail > 0.5:
+            raise ValueError(f"tail mass {tail:.3g} at x={x:g} is above 1/2; "
+                             "the tail fit needs abscissas in the upper tail")
     log_tail = np.log(tails)
     A1 = np.vstack([np.ones_like(xs), xs]).T
     (_, b1), *_ = np.linalg.lstsq(A1, log_tail, rcond=None)[:1]

@@ -244,6 +244,32 @@ def test_counterexample_linear_tail(tmp_path):
     assert (out / "tail.csv").exists()
 
 
+@pytest.mark.parametrize("span", [{"x_lo": 3.0, "x_hi": 3.0},     # one distinct abscissa
+                                  {"x_lo": -6.0, "x_hi": -2.0}])  # tail mass above 1/2
+def test_counterexample_linear_tail_bad_abscissas(tmp_path, span):
+    cfg = write_cfg(tmp_path / "c.json",
+                    {"command": "counterexample", "kind": "linear_tail"} | span)
+    out = tmp_path / "out"
+    assert cli.main(["counterexample", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_profile_integral_check_catches_a_shifted_head(monkeypatch):
+    split = hf.bounds.profile_integral_split
+    monkeypatch.setattr(hf.bounds, "profile_integral_split",
+                        lambda lam, c, s: (split(lam, c, s)[0] + 1e-9, split(lam, c, s)[1]))
+    assert cli.profile_integral_check((1.0, 2.0, 4.0))["pass"] is False
+
+
+def test_profile_integral_nan_integrand_is_numeric_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hf.bounds, "curvature_profile_value",
+                        lambda lam, t: np.full(np.shape(t), np.nan))
+    with pytest.raises(hf.errors.HeatflowError, match="curvature route"):
+        cli.profile_integral_check((2.0,))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 # -- failure modes -------------------------------------------------------------------
 
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
 import heatflow as hf
 from heatflow.diagnostics import (
+    SQRT_2PI,
     TargetCdf,
     empirical_lipschitz,
     ks_distance,
@@ -313,3 +314,49 @@ def test_tail_dilated_gaussian_coefficient():
     fit = tail_test(p, np.linspace(6, 12, 17))
     assert fit.quad_coeff == pytest.approx(-0.125, rel=0.05)
     assert fit.implied_lipschitz == pytest.approx(2.0, rel=0.05)
+
+
+
+@pytest.mark.parametrize("rho, lo, hi, scale", [(0.0, 2.0, 6.0, 1.0),
+                                               (-0.75, 6.0, 12.0, 2.0)])
+def test_tail_matches_log_ndtr(rho, lo, hi, scale):
+    # N(0, scale^2): log Pr(X >= x) = log Phi(-x / scale)
+    xs = np.linspace(lo, hi, 17)
+    fit = tail_test(hf.normalize(hf.gaussian(rho)), xs)
+    assert np.max(np.abs(fit.log_tail - log_ndtr(-xs / scale))) <= 1e-12
+
+
+def test_tail_linear_closed_form():
+    # beyond 1 the Lebesgue density is phi(0) e^{1/2 - x}, and the total mass
+    # is Phi(1) + phi(1), so log Pr(X >= x) is affine in x with slope -1
+    xs = np.linspace(2.0, 6.0, 17)
+    fit = tail_test(hf.normalize(hf.linear_tail()), xs)
+    want = 0.5 - xs - np.log(SQRT_2PI * (normal_cdf(1.0) + normal_pdf(1.0)))
+    assert np.max(np.abs(fit.log_tail - want)) <= 1e-12
+
+
+def test_tail_refuses_abscissas_below_the_median():
+    # gamma's own tail on [-6, -2] is nearly 1 and would fit as "incompatible"
+    with pytest.raises(ValueError, match="above 1/2"):
+        tail_test(hf.normalize(hf.gaussian(0.0)), np.linspace(-6.0, -2.0, 17))
+
+
+@pytest.mark.parametrize("xs", [[3.0, 3.0, 3.0], [2.0, 3.0, 2.0, 3.0], [2.0, 3.0]])
+def test_tail_needs_three_distinct_abscissas(xs):
+    with pytest.raises(ValueError, match="3 distinct"):
+        tail_test(hf.normalize(hf.linear_tail()), xs)
+
+
+def test_tail_nan_density_raises():
+    # NaN inside (3, 4): the window ends are found, the integrals fail
+    p = hf.Potential(dim=1, raw_fn=lambda x: np.where(np.abs(x[..., 0] - 3.5) < 0.5,
+                                                      np.nan, 0.0))
+    with pytest.raises(HeatflowError, match="did not converge"):
+        tail_test(p, np.linspace(2.0, 6.0, 5))
+
+
+def test_tail_window_cap_raises():
+    # V = -x^2/2 makes the Lebesgue density flat: no end below the floor by 2^14
+    p = hf.Potential(dim=1, raw_fn=lambda x: -0.5 * x[..., 0] ** 2)
+    with pytest.raises(HeatflowError, match="truncate"):
+        tail_test(p, np.linspace(2.0, 6.0, 5))
