@@ -1,14 +1,15 @@
 """Independent oracles and counterexample reproductions.
 
 Everything here deliberately avoids the semigroup/flow code paths it is
-used to check: the 1-d monotone rearrangement inverts a quadrature CDF,
-the sharpness family has closed forms, the spike-family refutation runs
-through direct adaptive quadrature, and the tail test through vectorized
-tanh-sinh quadrature.
+used to check: the 1-d monotone rearrangement inverts a cumulative-Simpson
+CDF with a PCHIP interpolant (both in numpy), the sharpness family has
+closed forms, the spike-family refutation runs through direct adaptive
+quadrature, and the tail test through vectorized tanh-sinh quadrature.
 
-Each scipy routine (scipy.special, integrate, interpolate, optimize) is
-imported inside the function that calls it, so importing this module, as
-`import heatflow` does, loads no scipy module.
+The scipy routines used (scipy.special, plus scipy.integrate's tanhsinh
+and quad for the certification jobs) are imported inside the function
+that calls them, so importing this module, as `import heatflow` does,
+loads no scipy module, and a 1-d transport loads only scipy.special.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 KS_DIRECTIONS = 20
 KS_DIRECTION_SEED = 2024
 KS_REFERENCE_SIZE = 200_000
+QUANTILE_BISECTIONS = 64
 LIPSCHITZ_MAX_EXACT = 2000
 LIPSCHITZ_PAIR_BUDGET = 1_000_000
 LIPSCHITZ_PAIR_SEED = 7
+LIPSCHITZ_BLOCK_PAIRS = 2**16
 TAIL_INCOMPATIBILITY_LEVEL = -0.02
 # tail_test's window ends where the Lebesgue density is below this
 TAIL_DENSITY_FLOOR = 1e-300
@@ -81,6 +84,68 @@ def tanhsinh_integrals(f, a, b, what: str, **tolerances) -> np.ndarray:
     return res.integral
 
 
+def _simpson_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over each cell [x_k, x_{k+1}] of the parabola through points
+    k, k+1, k+2, for unequal steps dx (Cartwright's formula, term for term
+    as scipy's cumulative_simpson evaluates it)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral of the samples y from x[0] to each x[k] (at least 3 points):
+    even cells take the parabola through their own and the next point, odd
+    cells and the last one the parabola through the previous and their own
+    (scipy's cumulative_simpson with initial=0)."""
+    dx = np.diff(x)
+    forward = _simpson_cells(y, dx)
+    backward = _simpson_cells(y[::-1], dx[::-1])[::-1]
+    cells = np.empty(dx.size)
+    cells[:-1:2] = forward[::2]
+    cells[1::2] = backward[::2]
+    cells[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, kept shape-preserving (Moler's pchip)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_cubics(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, cells) of the PCHIP interpolant (Fritsch-Carlson):
+    cell k is c[3] + c[2] s + c[1] s^2 + c[0] s^3 with s = t - x[k].  The
+    knot slopes are the weighted harmonic means of the neighbouring secants
+    (0 at a sign change or flat secant), as scipy's PchipInterpolator."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _cubic(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The cubics c (4, ...) at offsets s, summed in scipy PPoly's order."""
+    s2 = s * s
+    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+
+
 class TargetCdf:
     """CDF of the probability measure proportional to e^{-V} dgamma, dim 1.
 
@@ -88,50 +153,64 @@ class TargetCdf:
     Lebesgue density on [-12, 12], each end widened by 4 (at most 20 times,
     to 92 on either side) until the density there is below 1e-15, and
     renormalized by the computed total mass, so it does not depend on the
-    potential's own normalization constant.  Raises HeatflowError when
-    either end still has density >= 1e-15 after the widening (the window
-    would cut off mass) or the mass is not positive and finite.
+    potential's own normalization constant; the CDF between the knots is
+    the PCHIP cubic through the renormalized sums.  Raises HeatflowError
+    when either end still has density >= 1e-15 after the widening (the
+    window would cut off mass) or the mass is not positive and finite.
     """
 
     def __init__(self, p: Potential):
-        from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import PchipInterpolator
         if p.dim != 1:
             raise ValueError("TargetCdf requires a 1-d potential")
         ends = 12.0 + 4.0 * np.arange(21)
         lo, hi = (_window_end(p, side, ends, 1e-15) for side in (-1.0, 1.0))
         n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
-        dens = p.lebesgue_density(xs[:, None])
-        cum = cumulative_simpson(dens, x=xs, initial=0.0)
+        cum = _cumulative_simpson(p.lebesgue_density(xs[:, None]), xs)
         self.total_mass = float(cum[-1])
         if not np.isfinite(self.total_mass) or self.total_mass <= 0:
             raise HeatflowError("target mass is not positive-finite")
         self.lo, self.hi = lo, hi
-        self._interp = PchipInterpolator(xs, cum / self.total_mass)
+        self._knots = xs
+        self._values = cum / self.total_mass
+        self._cubics = _pchip_cubics(xs, self._values)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip(self._interp(np.clip(x, self.lo, self.hi)), 0.0, 1.0)
+        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        # cell k holds [x_k, x_{k+1}); the last cell is closed
+        cell = np.minimum(np.searchsorted(self._knots, x, side="right") - 1,
+                          self._knots.size - 2)
+        return np.clip(_cubic(self._cubics[:, cell], x - self._knots[cell]), 0.0, 1.0)
 
-    def quantile(self, q: float) -> float:
-        from scipy.optimize import brentq
-        if not 0.0 < q < 1.0:
+    def quantile(self, q):
+        """F^{-1}(q) for each q in (0, 1): the cell whose knot values bracket
+        q, then QUANTILE_BISECTIONS halvings of the cell (width
+        1e-3 * 2^-64 < 1e-22, below the float spacing at |x| > 1e-6)."""
+        q = np.asarray(q, dtype=float)
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("quantile defined for q in (0, 1)")
-        return float(brentq(lambda x: self._interp(x) - q, self.lo, self.hi,
-                            xtol=1e-12))
+        cell = np.minimum(np.searchsorted(self._values, q, side="right") - 1,
+                          self._knots.size - 2)
+        c = self._cubics[:, cell]
+        a = np.zeros(q.shape)
+        b = self._knots[cell + 1] - self._knots[cell]
+        for _ in range(QUANTILE_BISECTIONS):
+            mid = 0.5 * (a + b)
+            below = _cubic(c, mid) < q
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+        return (self._knots[cell] + 0.5 * (a + b))[()]
 
 
 def monotone_rearrangement_1d(p: Potential, q: float) -> float:
     """F^{-1}(q) for the target CDF F; y -> F^{-1}(Phi(y)) is the unique
     increasing map pushing gamma onto the target."""
-    return TargetCdf(p).quantile(q)
+    return float(TargetCdf(p).quantile(q))
 
 
 def rearrangement_map(p: Potential, ys: np.ndarray) -> np.ndarray:
     """The increasing transport applied to points ys (gamma quantile chase)."""
-    table = TargetCdf(p)
-    return np.array([table.quantile(q) for q in normal_cdf(np.asarray(ys))])
+    return TargetCdf(p).quantile(normal_cdf(np.asarray(ys, dtype=float)))
 
 
 # -- Kolmogorov-Smirnov ---------------------------------------------------------
@@ -191,13 +270,39 @@ class EmpiricalLipschitz:
     duplicates_skipped: int
 
 
+def _pair_blocks(inputs: np.ndarray):
+    """The pairs (ii, jj) of empirical_lipschitz, at most
+    LIPSCHITZ_BLOCK_PAIRS at a time: whole rows i of the pairs i < j on the
+    exact path, slices of the drawn list (self-pairs dropped) on the random
+    one, then the sorted-adjacent pairs in dim 1."""
+    n = inputs.shape[0]
+    if n <= LIPSCHITZ_MAX_EXACT:
+        step = max(1, LIPSCHITZ_BLOCK_PAIRS // (n - 1))
+        for lo in range(0, n - 1, step):
+            rows = np.arange(lo, min(lo + step, n - 1))
+            ii, jj = np.nonzero(np.arange(n) > rows[:, None])
+            yield ii + lo, jj
+        return
+    rng = np.random.default_rng(LIPSCHITZ_PAIR_SEED)
+    ii = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
+    jj = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
+    for lo in range(0, LIPSCHITZ_PAIR_BUDGET, LIPSCHITZ_BLOCK_PAIRS):
+        i, j = ii[lo:lo + LIPSCHITZ_BLOCK_PAIRS], jj[lo:lo + LIPSCHITZ_BLOCK_PAIRS]
+        keep = i != j
+        yield i[keep], j[keep]
+    if inputs.shape[1] == 1:
+        order = np.argsort(inputs[:, 0], kind="stable")
+        yield order[:-1], order[1:]
+
+
 def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLipschitz:
     """max over pairs of |out_i - out_j| / |in_i - in_j|.
 
     Exact over all pairs up to LIPSCHITZ_MAX_EXACT points; beyond that
     LIPSCHITZ_PAIR_BUDGET random pairs drawn from LIPSCHITZ_PAIR_SEED are
     used (plus sorted-adjacent pairs in dim 1, where the largest local
-    slopes live).  Coincident inputs are skipped and counted.
+    slopes live).  Coincident inputs are skipped and counted.  The pairs
+    are evaluated in blocks (see _pair_blocks), so memory stays bounded.
     """
     inputs = np.asarray(inputs, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
@@ -205,31 +310,22 @@ def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLip
         inputs = inputs[:, None]
     if outputs.ndim == 1:
         outputs = outputs[:, None]
-    n = inputs.shape[0]
-    if n < 2:
+    if inputs.shape[0] < 2:
         raise ValueError("need at least two pairs")
 
-    if n <= LIPSCHITZ_MAX_EXACT:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(LIPSCHITZ_PAIR_SEED)
-        ii = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
-        jj = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        if inputs.shape[1] == 1:
-            order = np.argsort(inputs[:, 0], kind="stable")
-            ii = np.concatenate([ii, order[:-1]])
-            jj = np.concatenate([jj, order[1:]])
-
-    din = np.linalg.norm(inputs[ii] - inputs[jj], axis=1)
-    dout = np.linalg.norm(outputs[ii] - outputs[jj], axis=1)
-    good = din > 0
-    skipped = int(np.sum(~good))
-    if not np.any(good):
+    peaks, good, skipped = [], 0, 0
+    for ii, jj in _pair_blocks(inputs):
+        din = np.linalg.norm(inputs[ii] - inputs[jj], axis=1)
+        dout = np.linalg.norm(outputs[ii] - outputs[jj], axis=1)
+        ok = din > 0
+        count = int(np.sum(ok))
+        if count:
+            peaks.append(np.max(dout[ok] / din[ok]))
+        good += count
+        skipped += ok.size - count
+    if not good:
         raise ValueError("every sampled pair had coincident inputs")
-    ratio = float(np.max(dout[good] / din[good]))
-    return EmpiricalLipschitz(ratio, int(np.sum(good)), skipped)
+    return EmpiricalLipschitz(float(np.max(peaks)), good, skipped)
 
 
 # -- sharpness family closed forms ----------------------------------------------

@@ -22,6 +22,9 @@ from .errors import HeatflowError
 GH_TENSOR_DIM_MAX = 3
 ADAPTIVE_REL_TOL = 1e-10
 ADAPTIVE_MAX_NODES = 4096
+# nodes per slab of one adaptive estimate: every dim-1 estimate, and dim-2
+# estimates up to 512 nodes per axis, are one slab
+ADAPTIVE_SLAB_NODES = 2**18
 
 
 @lru_cache(maxsize=64)
@@ -41,13 +44,15 @@ def gauss_hermite_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _tensor_nodes(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _tensor_nodes(n: int, dim: int, first=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor nodes (K, dim) and weights (K,), first axis slowest; `first`
+    keeps a slab of the first axis's nodes."""
     z1, w1 = gauss_hermite_1d(n)
     if dim == 1:
-        return z1[:, None], w1
-    grids = np.meshgrid(*([z1] * dim), indexing="ij")
+        return z1[first, None], w1[first]
+    grids = np.meshgrid(z1[first], *([z1] * (dim - 1)), indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    w = w1
+    w = w1[first]
     for _ in range(dim - 1):
         w = np.multiply.outer(w, w1)
     return nodes, w.reshape(-1)
@@ -109,7 +114,9 @@ def gaussian_expectation_adaptive(fn, dim: int, start_nodes: int = 64) -> Adapti
 
     `fn` maps (K, dim) -> (K,) and returns the log of the integrand; the
     sum is taken with a max-shift so integrands spanning hundreds of
-    orders of magnitude stay finite.
+    orders of magnitude stay finite.  An estimate is summed over slabs of
+    the first axis of at most ADAPTIVE_SLAB_NODES nodes each, and only one
+    slab's nodes exist at a time.
 
     Raises HeatflowError when the estimates keep growing by large
     factors across refinements, the signature of a divergent integral.
@@ -125,13 +132,20 @@ def gaussian_expectation_adaptive(fn, dim: int, start_nodes: int = 64) -> Adapti
         )
 
     def estimate(n: int) -> float:
-        nodes, w = _tensor_nodes(n, dim)
-        with np.errstate(divide="ignore"):
-            a = np.log(w) + fn(nodes)
-        m = np.max(a)
+        # slabs of the first axis; total = e^M sum_c s_c e^{m_c - M}
+        step = max(1, ADAPTIVE_SLAB_NODES // n ** (dim - 1))
+        peaks, sums = [], []
+        for lo in range(0, n, step):
+            nodes, w = _tensor_nodes(n, dim, slice(lo, lo + step))
+            with np.errstate(divide="ignore"):
+                a = np.log(w) + fn(nodes)
+            m = np.max(a)
+            peaks.append(m)
+            sums.append(np.exp(a - m).sum() if np.isfinite(m) else 0.0)
+        m = np.max(peaks)
         if not np.isfinite(m):
             return 0.0 if m == -np.inf else float("inf")
-        return float(np.exp(m) * np.exp(a - m).sum())
+        return float(np.exp(m) * (np.array(sums) * np.exp(np.array(peaks) - m)).sum())
 
     prev = estimate(start_nodes)
     n = start_nodes

@@ -1,13 +1,21 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtri
 
 import heatflow as hf
 from heatflow.diagnostics import (
+    LIPSCHITZ_BLOCK_PAIRS,
+    LIPSCHITZ_MAX_EXACT,
+    LIPSCHITZ_PAIR_BUDGET,
+    LIPSCHITZ_PAIR_SEED,
     SQRT_2PI,
     TargetCdf,
     empirical_lipschitz,
@@ -98,6 +106,57 @@ def test_target_cdf_refuses_a_truncated_window():
         rearrangement_map(p, np.array([2.0]))
 
 
+TABLE_POTENTIALS = {
+    "bump(0, .5, .5)": lambda: hf.bump(0.0, 0.5, 0.5),
+    "bump(.5, .25, 1)": lambda: hf.bump(0.5, 0.25, 1.0),
+    "regularized linear tail": lambda: hf.lipschitz_regularize(hf.linear_tail(),
+                                                               l=1.0, r=6.0),
+}
+
+
+def scipy_cdf_table(p, table):
+    """The table rebuilt from scipy's cumulative Simpson sum and PCHIP on
+    the same knots."""
+    n = int(np.ceil((table.hi - table.lo) / 1e-3)) + 1
+    xs = np.linspace(table.lo, table.hi, n)
+    cum = integrate.cumulative_simpson(p.lebesgue_density(xs[:, None]), x=xs, initial=0.0)
+    return PchipInterpolator(xs, cum / cum[-1])
+
+
+@pytest.mark.parametrize("name", TABLE_POTENTIALS)
+def test_target_cdf_matches_scipy_table(name):
+    p = TABLE_POTENTIALS[name]()
+    table = TargetCdf(p)
+    ref = scipy_cdf_table(p, table)
+    n = int(np.ceil((table.hi - table.lo) / 1e-3)) + 1
+    x = np.concatenate([np.random.default_rng(4).uniform(table.lo - 1, table.hi + 1, 20_000),
+                        np.linspace(table.lo, table.hi, n)])
+    want = np.clip(ref(np.clip(x, table.lo, table.hi)), 0.0, 1.0)
+    assert np.max(np.abs(table.cdf(x) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", TABLE_POTENTIALS)
+def test_rearrangement_map_matches_brentq(name):
+    p = TABLE_POTENTIALS[name]()
+    ref = scipy_cdf_table(p, TargetCdf(p))
+    ys = np.linspace(-3.0, 3.0, 61)
+    want = [brentq(lambda x: ref(x) - q, ref.x[0], ref.x[-1], xtol=1e-12)
+            for q in normal_cdf(ys)]
+    got = rearrangement_map(p, ys)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # a batch call is elementwise, bit for bit
+    one_by_one = [rearrangement_map(p, np.array([y]))[0] for y in ys]
+    assert np.array_equal(got, one_by_one)
+    assert monotone_rearrangement_1d(p, float(normal_cdf(ys[7]))) == got[7]
+
+
+def test_quantile_refuses_levels_outside_the_open_interval(std_bump):
+    table = TargetCdf(std_bump)
+    for bad in (0.0, 1.0, np.nan, [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"q in \(0, 1\)"):
+            table.quantile(bad)
+
+
 # -- Kolmogorov-Smirnov ----------------------------------------------------------------
 
 
@@ -183,6 +242,67 @@ def test_empirical_lipschitz_affine_property(slope):
     xs = np.linspace(-2, 2, 40)
     emp = empirical_lipschitz(xs, slope * xs + 0.7)
     assert emp.ratio == pytest.approx(abs(slope), abs=1e-9)
+
+
+def lipschitz_reference(inputs, outputs):
+    """The all-at-once form: every pair's distances in one array."""
+    inputs, outputs = (np.asarray(a, dtype=float).reshape(len(a), -1)
+                       for a in (inputs, outputs))
+    n = len(inputs)
+    if n <= LIPSCHITZ_MAX_EXACT:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(LIPSCHITZ_PAIR_SEED)
+        ii = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
+        jj = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
+        ii, jj = ii[ii != jj], jj[ii != jj]
+        if inputs.shape[1] == 1:
+            order = np.argsort(inputs[:, 0], kind="stable")
+            ii = np.concatenate([ii, order[:-1]])
+            jj = np.concatenate([jj, order[1:]])
+    din = np.linalg.norm(inputs[ii] - inputs[jj], axis=1)
+    dout = np.linalg.norm(outputs[ii] - outputs[jj], axis=1)
+    good = din > 0
+    return float(np.max(dout[good] / din[good])), int(np.sum(good)), int(np.sum(~good))
+
+
+# the largest point count whose pairs all fit in one block
+ONE_BLOCK = math.isqrt(LIPSCHITZ_BLOCK_PAIRS) + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1, 2000, 2001,
+                               100_000])
+def test_empirical_lipschitz_matches_all_pairs_reference(dim, n):
+    rng = np.random.default_rng(n + dim)
+    xs = rng.standard_normal((n, dim))
+    xs[-1] = xs[0]                      # a duplicated input (n = 2: every pair)
+    xs[n // 2] = xs[n // 3]
+    xs[::100] = xs[0]                   # so that drawn pairs meet duplicates too
+    ys = np.tanh(xs) * rng.uniform(0.5, 2.0, (n, dim))
+    if n == 2:
+        with pytest.raises(ValueError, match="coincident"):
+            empirical_lipschitz(xs, ys)
+        return
+    emp = empirical_lipschitz(xs, ys)
+    assert (emp.ratio, emp.pairs_evaluated, emp.duplicates_skipped) == \
+        lipschitz_reference(xs, ys)
+    assert emp.duplicates_skipped >= 1
+
+
+@pytest.mark.parametrize("n, limit_mb", [(2000, 16), (100_000, 24)])
+def test_empirical_lipschitz_memory(n, limit_mb):
+    # the all-pairs form peaked at 106.8 MB (n = 2000) and 60.5 MB (n = 1e5);
+    # the drawn pair list alone is 16 MB at n = 1e5
+    xs = np.random.default_rng(5).standard_normal(n)
+    ys = np.sin(xs)
+    tracemalloc.start()
+    try:
+        empirical_lipschitz(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 # -- sharpness closed forms ------------------------------------------------------------------

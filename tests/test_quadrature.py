@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,12 +74,14 @@ def test_adaptive_divergence_detected():
 def test_adaptive_caps_nodes_in_all(monkeypatch, dim, n_last):
     # an estimate that never settles doubles until one more doubling would
     # take over ADAPTIVE_MAX_NODES**2 nodes in all (or the per-axis cap);
-    # the stub records the request and returns one node
+    # the stub records each slab's request and returns one node for it,
+    # weighted by the slab's share of the first axis
     asked = []
 
-    def one_node(n, d):
+    def one_node(n, d, first=slice(None)):
         asked.append((n, d))
-        return np.zeros((1, d)), np.array([1.0 + 1.0 / n])
+        share = len(range(n)[first]) / n
+        return np.zeros((1, d)), np.array([(1.0 + 1.0 / n) * share])
 
     monkeypatch.setattr(quadrature, "_tensor_nodes", one_node)
     res = gaussian_expectation_adaptive(lambda z: np.zeros(len(z)), dim, start_nodes=16)
@@ -94,3 +98,43 @@ def test_adaptive_matches_gaussian_closed_form(rho, mu):
     res = gaussian_expectation_adaptive(lambda z: -rho * (z[:, 0] - mu) ** 2 / 2.0, dim=1)
     closed = np.exp(-rho * mu * mu / (2.0 * (1.0 + rho))) / np.sqrt(1.0 + rho)
     assert res.value == pytest.approx(closed, rel=1e-9)
+
+
+def test_adaptive_dim3_estimate_memory_is_bounded_by_slabs(monkeypatch):
+    # 64^3 then 128^3 nodes: at 128 per axis an estimate is 8 slabs of 16
+    # first-axis rows; building all 2.1M nodes at once peaked at 144 MB
+    p = hf.gaussian(0.5, dim=3)
+    fn = lambda z: -p.value(z)
+    gauss_hermite_1d(64), gauss_hermite_1d(128)
+    tracemalloc.start()
+    try:
+        res = gaussian_expectation_adaptive(fn, 3, start_nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.node_count == 128 and res.converged
+    assert peak < 48 * 2**20
+    assert res.value == pytest.approx(1.5 ** -1.5, rel=1e-12)
+    monkeypatch.setattr(quadrature, "ADAPTIVE_SLAB_NODES", 128**3)
+    one_slab = gaussian_expectation_adaptive(fn, 3, start_nodes=64)
+    assert abs(res.value - one_slab.value) <= 1e-14 * one_slab.value
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 512)])
+def test_adaptive_estimate_is_one_slab_up_to_budget(dim, n):
+    # dim-1 estimates, and dim-2 ones up to 512 per axis, see the whole
+    # tensor rule in one call and equal the one-pass max-shifted sum
+    sizes = []
+
+    def fn(z):
+        sizes.append(len(z))
+        return -0.3 * np.sum(z * z, axis=1) + np.sin(z[:, 0])
+
+    res = gaussian_expectation_adaptive(fn, dim, start_nodes=n // 2)
+    assert res.converged and res.node_count == n
+    assert sizes == [(n // 2) ** dim, n ** dim]
+    nodes, w = hf.QuadratureScheme(dim=dim, node_count=n).nodes_weights()
+    with np.errstate(divide="ignore"):     # the outer weights underflow to 0
+        a = np.log(w) + fn(nodes)
+    m = np.max(a)
+    assert res.value == float(np.exp(m) * np.exp(a - m).sum())

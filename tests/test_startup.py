@@ -44,6 +44,20 @@ def test_no_module_level_scipy_import(path):
     assert not found, f"scipy imported at module level: {found}"
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "heatflow").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_interpolate_or_optimize_import(path):
+    # anywhere in the module, function bodies included
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    assert not [n for n in names if n.startswith(("scipy.interpolate", "scipy.optimize"))]
+
+
 # imports heatflow and its CLI, runs each config (argv[2:]) with --quick into
 # argv[1], then prints the exit codes and the loaded scipy modules
 MODULE_PROBE = """
@@ -58,16 +72,33 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
 """
 
 
-def loaded_after(tmp_path, *configs) -> dict:
+# imports heatflow, maps five points through the 1-d monotone rearrangement
+# of an unnormalized bump (whose CDF table needs no Gauss-Hermite rule), then
+# prints the loaded scipy modules
+REARRANGEMENT_PROBE = """
+import json, sys
+import numpy as np
+import heatflow as hf
+from heatflow.diagnostics import rearrangement_map
+rearrangement_map(hf.bump(0.0, 0.5, 0.5), np.linspace(-2.0, 2.0, 5))
+print(json.dumps({"scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def run_probe(probe: str, *args) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, str(tmp_path / "out"),
-         *(str(CONFIGS / c) for c in configs)],
-        env=env, capture_output=True, text=True, timeout=300)
+    run = subprocess.run([sys.executable, "-c", probe, *args],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def loaded_after(tmp_path, *configs) -> dict:
+    result = run_probe(MODULE_PROBE, str(tmp_path / "out"),
+                       *(str(CONFIGS / c) for c in configs))
     assert result["codes"] == [0] * len(configs)
     return result
 
@@ -90,3 +121,20 @@ def test_2d_transport_loads_only_special(tmp_path):
     loaded = set(loaded_after(tmp_path, "transport_gaussian2d.json")["scipy"])
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("config", ["transport_bump.json", "transport_gaussian.json",
+                                    "transport_regularized_tail.json"])
+def test_1d_transport_loads_only_special(tmp_path, config):
+    # the KS line's CDF table and the Lipschitz pairs are numpy only
+    loaded = set(loaded_after(tmp_path, config)["scipy"])
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+
+
+def test_rearrangement_map_loads_only_special():
+    # scipy itself, its private helpers and its version module come along
+    loaded = run_probe(REARRANGEMENT_PROBE)["scipy"]
+    assert "scipy.special" in loaded
+    assert all(m in ("scipy", "scipy.version") or m.startswith(("scipy._", "scipy.special"))
+               for m in loaded), loaded
