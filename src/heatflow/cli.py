@@ -144,10 +144,7 @@ def _potential_from(pcfg: dict, scheme: QuadratureScheme):
 
 def _flow_from(cfg: dict, evaluator: SemigroupEvaluator, quick: bool) -> FlowIntegrator:
     fl = cfg.get("flow", {})
-    check_keys(fl, ("method", "t_max", "n_steps"), "flow")
-    method = fl.get("method", "rk4")
-    if method != "rk4":
-        raise ValueError(f"unknown flow method {method!r}; the stepper is 'rk4'")
+    check_keys(fl, ("t_max", "n_steps"), "flow")
     t_max = float(json_number(fl, "t_max", FlowIntegrator.t_max))
     n_steps = json_int(fl, "n_steps", FlowIntegrator.n_steps)
     if quick:

@@ -1,8 +1,9 @@
 """Independent oracles and counterexample reproductions.
 
 Everything here deliberately avoids the semigroup/flow code paths it is
-used to check: the 1-d monotone rearrangement inverts a cumulative-Simpson
-CDF with a PCHIP interpolant (both in numpy), the sharpness family has
+used to check, and imports nothing from the package but `errors` and
+`potentials`: the 1-d monotone rearrangement bisects a CDF that Simpson's
+rule builds from the target density alone, the sharpness family has
 closed forms, the spike-family refutation runs through direct adaptive
 quadrature, and the tail test through vectorized tanh-sinh quadrature.
 
@@ -84,79 +85,26 @@ def tanhsinh_integrals(f, a, b, what: str, **tolerances) -> np.ndarray:
     return res.integral
 
 
-def _simpson_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Integral over each cell [x_k, x_{k+1}] of the parabola through points
-    k, k+1, k+2, for unequal steps dx (Cartwright's formula, term for term
-    as scipy's cumulative_simpson evaluates it)."""
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2]
-                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      - x21x21_x31x32 * y[2:])
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integral of the samples y from x[0] to each x[k] (at least 3 points):
-    even cells take the parabola through their own and the next point, odd
-    cells and the last one the parabola through the previous and their own
-    (scipy's cumulative_simpson with initial=0)."""
-    dx = np.diff(x)
-    forward = _simpson_cells(y, dx)
-    backward = _simpson_cells(y[::-1], dx[::-1])[::-1]
-    cells = np.empty(dx.size)
-    cells[:-1:2] = forward[::2]
-    cells[1::2] = backward[::2]
-    cells[-1] = backward[-1]
-    return np.concatenate([[0.0], np.cumsum(cells)])
-
-
-def _pchip_end_slope(h0, h1, m0, m1) -> float:
-    """One-sided three-point end slope, kept shape-preserving (Moler's pchip)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_cubics(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients (4, cells) of the PCHIP interpolant (Fritsch-Carlson):
-    cell k is c[3] + c[2] s + c[1] s^2 + c[0] s^3 with s = t - x[k].  The
-    knot slopes are the weighted harmonic means of the neighbouring secants
-    (0 at a sign change or flat secant), as scipy's PchipInterpolator."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-
-
-def _cubic(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The cubics c (4, ...) at offsets s, summed in scipy PPoly's order."""
-    s2 = s * s
-    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+def _simpson(density, a, density_a, b):
+    """Simpson's rule for the density over [a, b], given density_a =
+    density(a): nonnegative wherever the density is."""
+    return (b - a) / 6.0 * (density_a + 4.0 * density(0.5 * (a + b)) + density(b))
 
 
 class TargetCdf:
     """CDF of the probability measure proportional to e^{-V} dgamma, dim 1.
 
-    Built once from a dense cumulative-Simpson pass (step 1e-3) over the
-    Lebesgue density on [-12, 12], each end widened by 4 (at most 20 times,
-    to 92 on either side) until the density there is below 1e-15, and
-    renormalized by the computed total mass, so it does not depend on the
-    potential's own normalization constant; the CDF between the knots is
-    the PCHIP cubic through the renormalized sums.  Raises HeatflowError
-    when either end still has density >= 1e-15 after the widening (the
-    window would cut off mass) or the mass is not positive and finite.
+    The window is [-12, 12], each end widened by 4 (at most 20 times, to
+    92 on either side) until the Lebesgue density there is below 1e-15.
+    Knots 1e-3 apart carry the running sum of Simpson's rule over each
+    cell, h/6 (rho(x_k) + 4 rho(mid_k) + rho(x_{k+1})), so the knot values
+    never decrease; between the knots the CDF adds Simpson's rule over
+    [x_k, x] from the same helper, so it is continuous at the knots.  The
+    sums are divided by the computed total mass, so the CDF does not
+    depend on the potential's own normalization constant.  Raises
+    HeatflowError when either end still has density >= 1e-15 after the
+    widening (the window would cut off mass) or the mass is not positive
+    and finite.
     """
 
     def __init__(self, p: Potential):
@@ -166,21 +114,29 @@ class TargetCdf:
         lo, hi = (_window_end(p, side, ends, 1e-15) for side in (-1.0, 1.0))
         n = int(np.ceil((hi - lo) / 1e-3)) + 1
         xs = np.linspace(lo, hi, n)
-        cum = _cumulative_simpson(p.lebesgue_density(xs[:, None]), xs)
-        self.total_mass = float(cum[-1])
+        self._density = lambda x: p.lebesgue_density(x[..., None])
+        self._knot_density = self._density(xs)
+        cells = _simpson(self._density, xs[:-1], self._knot_density[:-1], xs[1:])
+        self._mass = np.concatenate([[0.0], np.cumsum(cells)])
+        self.total_mass = float(self._mass[-1])
         if not np.isfinite(self.total_mass) or self.total_mass <= 0:
             raise HeatflowError("target mass is not positive-finite")
         self.lo, self.hi = lo, hi
         self._knots = xs
-        self._values = cum / self.total_mass
-        self._cubics = _pchip_cubics(xs, self._values)
+        self._values = self._mass / self.total_mass
+
+    def _cdf_in_cell(self, cell, x):
+        """The CDF at x in [x_cell, x_{cell+1}]: equal to the knot values at
+        both ends."""
+        partial = _simpson(self._density, self._knots[cell], self._knot_density[cell], x)
+        return (self._mass[cell] + partial) / self.total_mass
 
     def cdf(self, x):
         x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
         # cell k holds [x_k, x_{k+1}); the last cell is closed
         cell = np.minimum(np.searchsorted(self._knots, x, side="right") - 1,
                           self._knots.size - 2)
-        return np.clip(_cubic(self._cubics[:, cell], x - self._knots[cell]), 0.0, 1.0)
+        return np.clip(self._cdf_in_cell(cell, x), 0.0, 1.0)
 
     def quantile(self, q):
         """F^{-1}(q) for each q in (0, 1): the cell whose knot values bracket
@@ -191,15 +147,15 @@ class TargetCdf:
             raise ValueError("quantile defined for q in (0, 1)")
         cell = np.minimum(np.searchsorted(self._values, q, side="right") - 1,
                           self._knots.size - 2)
-        c = self._cubics[:, cell]
+        start = self._knots[cell]
         a = np.zeros(q.shape)
-        b = self._knots[cell + 1] - self._knots[cell]
+        b = self._knots[cell + 1] - start
         for _ in range(QUANTILE_BISECTIONS):
             mid = 0.5 * (a + b)
-            below = _cubic(c, mid) < q
+            below = self._cdf_in_cell(cell, start + mid) < q
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
-        return (self._knots[cell] + 0.5 * (a + b))[()]
+        return (start + 0.5 * (a + b))[()]
 
 
 def monotone_rearrangement_1d(p: Potential, q: float) -> float:

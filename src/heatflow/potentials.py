@@ -470,8 +470,7 @@ def tabulated(grid: np.ndarray, values: np.ndarray, name: str = "tabulated",
 # -- regularization ---------------------------------------------------------
 
 
-def mollify(p: Potential, sigma: float,
-            scheme: QuadratureScheme | None = None) -> Potential:
+def mollify(p: Potential, sigma: float) -> Potential:
     """Potential of (e^{-V} dgamma) convolved with N(0, sigma^2 Id), against gamma.
 
     Completing the square in the convolution, with a = 1/(1+sigma^2) and
@@ -486,13 +485,15 @@ def mollify(p: Potential, sigma: float,
     where V has kinks, and the sums are max-shifted in log space, so they
     stay finite wherever V is.  No gradient bound is declared: the smoothed
     gradient can grow without bound in the tails (linear_tail), so a sup
-    over a finite window would certify nothing.
+    over a finite window would certify nothing.  The inner rule is always
+    the default QuadratureScheme, so the target does not depend on the
+    scheme that later transports it; dim > 3 raises ValueError.
     """
     if sigma <= 0:
         raise ValueError("mollify requires sigma > 0")
-    if scheme is None:
-        scheme = QuadratureScheme(dim=p.dim)
-    nodes, w = scheme.nodes_weights()  # (K, dim), (K,)
+    if p.dim > GH_TENSOR_DIM_MAX:
+        raise ValueError(f"mollify's Gauss-Hermite rule is capped at dim {GH_TENSOR_DIM_MAX}")
+    nodes, w = QuadratureScheme(dim=p.dim).nodes_weights()  # (K, dim), (K,)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
     dim = p.dim
@@ -780,7 +781,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
         for key in tr.keys() - {"op"}:
             json_number(tr, key)
         if op == "mollify":
-            pot = mollify(pot, float(tr["sigma"]), scheme)
+            pot = mollify(pot, float(tr["sigma"]))
         else:
             kwargs = {k: tr[k] for k in ("points_per_axis", "grid_tol") if k in tr}
             if "points_per_axis" in tr:

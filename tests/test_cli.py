@@ -289,9 +289,12 @@ def test_command_mismatch_is_config_error(tmp_path):
     assert cli.main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_unknown_flow_method_config_error(tmp_path):
-    cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"flow": {"method": "adaptive"}})
-    assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 2
+def test_unknown_flow_method_config_error(tmp_path, capsys):
+    # one stepper and no key to name it: even "rk4" is an unknown key
+    for method in ("adaptive", "rk4"):
+        cfg = write_cfg(tmp_path / "c.json", TRANSPORT_CFG | {"flow": {"method": method}})
+        assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown flow keys ['method']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quick", [False, True])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtri
 
@@ -114,33 +113,37 @@ TABLE_POTENTIALS = {
 }
 
 
-def scipy_cdf_table(p, table):
-    """The table rebuilt from scipy's cumulative Simpson sum and PCHIP on
-    the same knots."""
-    n = int(np.ceil((table.hi - table.lo) / 1e-3)) + 1
-    xs = np.linspace(table.lo, table.hi, n)
-    cum = integrate.cumulative_simpson(p.lebesgue_density(xs[:, None]), x=xs, initial=0.0)
-    return PchipInterpolator(xs, cum / cum[-1])
+@pytest.mark.parametrize("rho", [1.0, -0.5])
+def test_target_cdf_matches_gaussian_closed_form(rho):
+    # gaussian(rho) is N(0, 1/(1 + rho)); unnormalized, so the table's own
+    # total mass does the normalizing
+    table = TargetCdf(hf.gaussian(rho))
+    x = np.random.default_rng(5).uniform(-4.0, 4.0, 400)
+    assert np.max(np.abs(table.cdf(x) - normal_cdf(x * np.sqrt(1.0 + rho)))) <= 1e-13
 
 
-@pytest.mark.parametrize("name", TABLE_POTENTIALS)
-def test_target_cdf_matches_scipy_table(name):
-    p = TABLE_POTENTIALS[name]()
-    table = TargetCdf(p)
-    ref = scipy_cdf_table(p, table)
-    n = int(np.ceil((table.hi - table.lo) / 1e-3)) + 1
-    x = np.concatenate([np.random.default_rng(4).uniform(table.lo - 1, table.hi + 1, 20_000),
-                        np.linspace(table.lo, table.hi, n)])
-    want = np.clip(ref(np.clip(x, table.lo, table.hi)), 0.0, 1.0)
-    assert np.max(np.abs(table.cdf(x) - want)) <= 1e-15
+def test_quantile_matches_gaussian_closed_form():
+    ys = np.linspace(-3.0, 3.0, 121)
+    for rho in (1.0, 3.0, -0.5):
+        got = TargetCdf(hf.gaussian(rho)).quantile(normal_cdf(ys))
+        assert np.max(np.abs(got - ys / np.sqrt(1.0 + rho))) <= 1e-11, rho
+
+
+def test_target_cdf_monotone_beside_a_density_jump(walled_gaussian):
+    # the density jumps to 0 at the walls |x| = 5; every cell's mass is
+    # nonnegative, so the knot values never decrease and no quantile lies
+    # left of the support
+    table = TargetCdf(walled_gaussian)
+    assert np.all(np.diff(table._values) >= 0)
+    assert table.quantile(1e-300) >= -5.0
 
 
 @pytest.mark.parametrize("name", TABLE_POTENTIALS)
 def test_rearrangement_map_matches_brentq(name):
     p = TABLE_POTENTIALS[name]()
-    ref = scipy_cdf_table(p, TargetCdf(p))
+    table = TargetCdf(p)
     ys = np.linspace(-3.0, 3.0, 61)
-    want = [brentq(lambda x: ref(x) - q, ref.x[0], ref.x[-1], xtol=1e-12)
+    want = [brentq(lambda x: table.cdf(x) - q, table.lo, table.hi, xtol=1e-12)
             for q in normal_cdf(ys)]
     got = rearrangement_map(p, ys)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -168,7 +171,7 @@ def test_ks_point_mass_against_gamma():
 def test_ks_of_target_samples(std_bump):
     table = TargetCdf(std_bump)
     rng = np.random.default_rng(31)
-    samples = np.array([table.quantile(u) for u in rng.uniform(0.001, 0.999, 2000)])
+    samples = table.quantile(rng.uniform(0.001, 0.999, 2000))
     assert ks_distance(samples, std_bump) < 1.63 / np.sqrt(2000)
 
 
@@ -177,7 +180,7 @@ def test_ks_critical_level_pass_rate(std_bump):
     table = TargetCdf(std_bump)
     n, passes = 400, 0
     grid = np.linspace(1e-4, 1 - 1e-4, 4001)
-    inv = np.array([table.quantile(u) for u in grid])
+    inv = table.quantile(grid)
     for seed in range(100):
         u = np.random.default_rng(seed).uniform(0, 1, n)
         samples = np.interp(u, grid, inv)

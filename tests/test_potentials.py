@@ -234,6 +234,27 @@ def test_mollify_preserves_mass(std_bump):
     assert abs(lm) < 1e-10
 
 
+@pytest.mark.parametrize("node_count", [8, 64])
+def test_mollify_transform_ignores_the_transport_scheme(node_count):
+    # the target a config describes must not change with scheme.node_count
+    # (or with --quick, which lowers it)
+    cfg = {"family": "linear_tail", "transforms": [{"op": "mollify", "sigma": 0.5}],
+           "normalize": False}
+    got = hf.from_config(cfg, hf.QuadratureScheme(dim=1, node_count=node_count))
+    want = hf.mollify(hf.linear_tail(), 0.5)
+    xs = np.linspace(-6.0, 6.0, 49)[:, None]
+    assert np.array_equal(got.value(xs), want.value(xs))
+    assert np.array_equal(got.grad(xs), want.grad(xs))
+
+
+def test_mollify_refuses_dim_above_the_tensor_cap():
+    # also under a monte_carlo transport scheme, which mollify does not use
+    cfg = {"family": "gaussian", "params": {"rho": 1.0, "dim": 4},
+           "transforms": [{"op": "mollify", "sigma": 0.5}]}
+    with pytest.raises(ValueError, match="mollify's Gauss-Hermite rule is capped at dim 3"):
+        hf.from_config(cfg, hf.QuadratureScheme(dim=4, kind="monte_carlo", sample_count=1000))
+
+
 def test_mollify_declares_no_grad_bound(tmp_path):
     # |V'| of a mollified linear tail grows without bound, so no window sup
     # may stand in for sup |grad V| and certify a transport

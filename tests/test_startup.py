@@ -58,6 +58,23 @@ def test_no_interpolate_or_optimize_import(path):
     assert not [n for n in names if n.startswith(("scipy.interpolate", "scipy.optimize"))]
 
 
+def test_oracles_independent_of_the_semigroup_and_flow():
+    # diagnostics.py checks the semigroup and flow code, so it may import
+    # nothing of the package but errors and potentials, in any function
+    path = ROOT / "src" / "heatflow" / "diagnostics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= ({node.module} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("heatflow"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("heatflow")}
+    assert found <= {"errors", "potentials", "heatflow.errors", "heatflow.potentials"}, found
+
+
 # imports heatflow and its CLI, runs each config (argv[2:]) with --quick into
 # argv[1], then prints the exit codes and the loaded scipy modules
 MODULE_PROBE = """
