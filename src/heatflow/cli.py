@@ -201,6 +201,9 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
         "duplicate_pairs_skipped": None if emp is None else emp.duplicates_skipped,
         "error_bound": ps.error_bound,
         "certified": ps.certified,
+        # normalize's mass estimate; both null when it did not run
+        "norm_tol": pot.norm_tol,
+        "norm_converged": pot.norm_converged,
         "quick": quick,
     }
     if lam is not None and c is not None and lam >= 1.0:

@@ -7,10 +7,11 @@ rule builds from the target density alone, the sharpness family has
 closed forms, the spike-family refutation runs through direct adaptive
 quadrature, and the tail test through vectorized tanh-sinh quadrature.
 
-The scipy routines used (scipy.special, plus scipy.integrate's tanhsinh
-and quad for the certification jobs) are imported inside the function
-that calls them, so importing this module, as `import heatflow` does,
-loads no scipy module, and a 1-d transport loads only scipy.special.
+The scipy routines used (scipy.special for rearrangement_map and the
+counterexample checks, plus scipy.integrate's tanhsinh and quad for the
+certification jobs) are imported inside the function that calls them, so
+importing this module, as `import heatflow` does, loads no scipy module,
+and neither does the KS line or the Lipschitz ratio of a transport.
 """
 
 from __future__ import annotations

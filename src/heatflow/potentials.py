@@ -66,6 +66,8 @@ class Potential:
     curvature_lower is a declared lam >= 0 with D^2 V >= -lam (None when no
     finite bound is declared); oscillation bounds sup V - inf V; both are
     metadata validated on grids, not enforced at evaluation time.
+    norm_tol and norm_converged record the mass estimate of `normalize`
+    (None until it runs, and norm_converged None under Monte Carlo).
     Instances are immutable and all evaluations are pure, so they are safe
     to share across parallel workers.
 
@@ -87,6 +89,7 @@ class Potential:
     grad_sup_norm: Optional[float] = None
     normalized: bool = False
     norm_tol: Optional[float] = None
+    norm_converged: Optional[bool] = None
     name: str = "potential"
     kinks: tuple[float, ...] = ()
 
@@ -215,18 +218,22 @@ def validate_metadata(p: Potential, grid: GridSpec) -> ValidationReport:
 # -- normalization --------------------------------------------------------
 
 
-def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
-    """(log integral of e^{-V} dgamma, achieved relative tolerance).
+def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float, bool | None]:
+    """(log integral of e^{-V} dgamma, achieved relative tolerance,
+    converged).
 
-    Raises ValueError for a Gauss-Hermite scheme above GH_TENSOR_DIM_MAX
-    and HeatflowError when the mass estimate diverges, vanishes or is not
-    finite.
+    `converged` says whether the adaptive Gauss-Hermite estimate met
+    ADAPTIVE_REL_TOL before its node cap; it is None for a Monte Carlo
+    scheme, whose tolerance is the nominal 1/sqrt(sample_count) and which
+    has no convergence test.  Raises ValueError for a Gauss-Hermite scheme
+    above GH_TENSOR_DIM_MAX and HeatflowError when the mass estimate
+    diverges, vanishes or is not finite.
     """
     if scheme.kind == "monte_carlo":
         val = gaussian_expectation_mc(lambda z: p.density(z), scheme)
         if not np.isfinite(val) or val <= 0:
             raise HeatflowError("Monte Carlo mass estimate not finite")
-        return float(np.log(val)), 1.0 / np.sqrt(scheme.sample_count)
+        return float(np.log(val)), 1.0 / np.sqrt(scheme.sample_count), None
     if p.dim > GH_TENSOR_DIM_MAX:
         raise ValueError(
             "dim above Gauss-Hermite cap; supply a monte_carlo scheme"
@@ -235,19 +242,23 @@ def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float]:
         lambda z: -p.value(z), p.dim, start_nodes=scheme.node_count)
     if res.value <= 0:
         raise HeatflowError("mass estimate vanished")
-    return float(np.log(res.value)), res.rel_change
+    return float(np.log(res.value)), res.rel_change, res.converged
 
 
 def normalize(p: Potential, scheme: QuadratureScheme | None = None) -> Potential:
     """Shift V so that e^{-V} dgamma is a probability measure.
 
     Curvature, oscillation and gradient bounds are unchanged by the shift.
+    The mass estimate's tolerance and convergence flag are kept as
+    `norm_tol` and `norm_converged`; an unconverged estimate is recorded,
+    not refused.
     """
     if scheme is None:
         scheme = QuadratureScheme(dim=p.dim)
-    lm, tol = log_mass(p, scheme)
+    lm, tol, converged = log_mass(p, scheme)
     return dataclasses.replace(
-        p, shift=p.shift + lm, normalized=True, norm_tol=tol
+        p, shift=p.shift + lm, normalized=True, norm_tol=tol,
+        norm_converged=converged,
     )
 
 
@@ -493,9 +504,7 @@ def mollify(p: Potential, sigma: float) -> Potential:
         raise ValueError("mollify requires sigma > 0")
     if p.dim > GH_TENSOR_DIM_MAX:
         raise ValueError(f"mollify's Gauss-Hermite rule is capped at dim {GH_TENSOR_DIM_MAX}")
-    nodes, w = QuadratureScheme(dim=p.dim).nodes_weights()  # (K, dim), (K,)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
+    nodes, logw = QuadratureScheme(dim=p.dim).nodes_log_weights()  # (K, dim), (K,)
     dim = p.dim
     a = 1.0 / (1.0 + sigma * sigma)
     tau = sigma * np.sqrt(a)

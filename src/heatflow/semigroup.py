@@ -89,9 +89,7 @@ class SemigroupEvaluator:
     def __post_init__(self):
         if self.scheme.dim != self.potential.dim:
             raise ValueError("scheme dimension must match potential dimension")
-        nodes, w = self.scheme.nodes_weights()
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
+        nodes, logw = self.scheme.nodes_log_weights()
         nodes_dm = np.ascontiguousarray(nodes.T)
         # Z Z^T - Id at every node, stored (dim, dim, K)
         outer = nodes_dm[:, None] * nodes_dm[None, :] - np.eye(self.potential.dim)[..., None]

@@ -158,6 +158,27 @@ def test_transport_2d_job(tmp_path):
     assert cols[:5] == ["index", "input_0", "input_1", "output_0", "output_1"]
 
 
+@pytest.mark.parametrize("potential, converged", [
+    (TRANSPORT_CFG["potential"], True),
+    # the regularized linear tail's mass estimate stops at the node cap
+    ({"family": "linear_tail",
+      "transforms": [{"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}]}, False),
+    (TRANSPORT_CFG["potential"] | {"normalize": False}, None),
+])
+def test_transport_summary_reports_normalization(tmp_path, potential, converged):
+    cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
+        "potential": potential, "samples": 20})
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out), "--quick"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["norm_converged"] is converged
+    if converged is None:
+        assert summary["norm_tol"] is None
+    else:
+        tol = hf.quadrature.ADAPTIVE_REL_TOL
+        assert (summary["norm_tol"] < tol) is converged
+
+
 def test_transport_single_sample_writes_summary(tmp_path):
     # one good sample has a KS statistic but no pair for a Lipschitz ratio
     cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {

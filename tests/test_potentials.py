@@ -17,6 +17,7 @@ from heatflow.potentials import (
     log_mass,
     sym_eig_bounds,
 )
+from heatflow.quadrature import ADAPTIVE_REL_TOL
 
 
 def quad_mass(p, lo=-40.0, hi=60.0):
@@ -61,6 +62,32 @@ def test_normalize_idempotent(std_bump):
 def test_normalized_mass_is_one(rho):
     p = hf.normalize(hf.gaussian(rho))
     assert quad_mass(p) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [-0.95, -0.99])
+def test_normalize_wide_gaussian_closed_form(rho):
+    # the estimate needs rules whose outer weights underflow to 0; their
+    # log-weights keep those nodes in the sum
+    p = hf.normalize(hf.gaussian(rho))
+    assert abs(p.shift + 0.5 * np.log1p(rho)) <= 1e-12
+    assert p.norm_converged is True
+
+
+def test_normalize_records_convergence():
+    assert hf.gaussian(1.0).norm_converged is None
+    p = hf.normalize(hf.gaussian(1.0))
+    assert p.norm_converged is True and p.norm_tol < ADAPTIVE_REL_TOL
+    # the regularized linear tail stops at the node cap, and is still
+    # normalized
+    tail = hf.from_config({"family": "linear_tail", "transforms": [
+        {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}]},
+        hf.QuadratureScheme(dim=1, node_count=64))
+    assert tail.normalized and tail.norm_converged is False
+    assert ADAPTIVE_REL_TOL < tail.norm_tol < 1e-8
+    # Monte Carlo has no convergence test
+    mc = hf.normalize(hf.gaussian(1.0), hf.QuadratureScheme(
+        dim=1, kind="monte_carlo", sample_count=1000))
+    assert mc.normalized and mc.norm_converged is None
 
 
 def test_normalize_diverges_for_super_gaussian():
@@ -230,7 +257,7 @@ def test_mollify_quadratic_base_far_tail_closed_form(rho):
 
 def test_mollify_preserves_mass(std_bump):
     # convolution preserves mass, so a normalized potential stays normalized
-    lm, _ = log_mass(hf.mollify(std_bump, 0.4), hf.QuadratureScheme(dim=1))
+    lm, _, _ = log_mass(hf.mollify(std_bump, 0.4), hf.QuadratureScheme(dim=1))
     assert abs(lm) < 1e-10
 
 

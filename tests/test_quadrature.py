@@ -1,3 +1,5 @@
+import decimal
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,12 +16,90 @@ from heatflow.quadrature import (
 )
 
 
-@pytest.mark.parametrize("n", [8, 32, 128, 512, 4096])
+RULE_SIZES = [1, 2, 3, 4, 5, 8, 32, 33, 64, 127, 128, 255, 256, 257, 511, 512,
+              1024, 2048, 4096]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
 def test_gh_moments(n):
+    # an n-point rule is exact to degree 2n - 1: E Z^{2j} = (2j - 1)!!, the
+    # weights sum to 1 and the odd moments vanish
     z, w = gauss_hermite_1d(n)
     assert abs(w.sum() - 1.0) < 1e-14
     assert abs(w @ z) < 1e-12
-    assert abs(w @ z**2 - 1.0) < 1e-10
+    for j in range(1, min(n, 40)):
+        exact = math.prod(range(1, 2 * j, 2))
+        assert float(w @ z ** (2 * j)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gh_rule_shape(n):
+    z, w = gauss_hermite_1d(n)
+    assert z.shape == w.shape == (n,)
+    assert np.array_equal(z, -z[::-1])
+    if n % 2:
+        assert z[n // 2] == 0.0
+    assert np.all(np.diff(z) > 0)
+    _, logw = hf.QuadratureScheme(dim=1, node_count=n).nodes_log_weights()
+    assert np.all(np.isfinite(logw))        # every weight is positive
+    assert np.array_equal(np.exp(logw), w)
+    assert not (z.flags.writeable or w.flags.writeable or logw.flags.writeable)
+
+
+def test_gh_log_weights_finite_where_weights_underflow():
+    _, w = gauss_hermite_1d(4096)
+    _, logw = hf.QuadratureScheme(dim=1, node_count=4096).nodes_log_weights()
+    assert np.all(np.isfinite(logw))
+    assert np.sum(w == 0.0) > 0 and logw.min() < -5000.0
+
+
+def _decimal_root(n, x0):
+    """Root of He_n near x0 and log of its Christoffel weight, from the
+    orthonormal recurrence in 40-digit decimal arithmetic."""
+    ctx = decimal.Context(prec=40)
+    sqrt_k = [ctx.sqrt(k) for k in range(n + 1)]
+
+    def q(x):
+        qp, qk = decimal.Decimal(0), decimal.Decimal(1)
+        for k in range(n):
+            qp, qk = qk, ctx.divide(ctx.subtract(ctx.multiply(x, qk),
+                                                 ctx.multiply(sqrt_k[k], qp)), sqrt_k[k + 1])
+        return qk, qp
+
+    x = decimal.Decimal(float(x0))
+    for _ in range(2):
+        qn, qm = q(x)
+        x = ctx.subtract(x, ctx.divide(qn, ctx.multiply(sqrt_k[n], qm)))
+    _, qm = q(x)
+    return float(x), float(-ctx.ln(ctx.multiply(n, ctx.multiply(qm, qm))))
+
+
+@pytest.mark.parametrize("n", [7, 200, 2048, 4096])
+def test_gh_matches_decimal_recurrence(n):
+    # nodes to about an ulp of max(1, |x|) and weights to 1e-12 relative, at
+    # the outermost nodes, the innermost and a few between
+    z, _ = gauss_hermite_1d(n)
+    _, logw = hf.QuadratureScheme(dim=1, node_count=n).nodes_log_weights()
+    for i in sorted({n - 1, n - 2, (n * 9) // 10, (n * 3) // 4, n // 2, (n - 1) // 2}):
+        x, lw = _decimal_root(n, z[i])
+        assert abs(z[i] - x) <= 1e-15 * max(1.0, abs(x))
+        assert abs(logw[i] - lw) <= 1e-12
+
+
+@pytest.mark.parametrize("n", list(range(1, 201)) + [255, 256, 257, 511, 512, 1024,
+                                                     2048, 4096])
+def test_gh_matches_scipy(n):
+    # scipy switches to an asymptotic rule above 150 nodes, whose interior
+    # nodes are off by up to 6e-14 (n = 2048) and 9e-14 (n = 4096) against
+    # the decimal recurrence above; below that size 5e-14 holds
+    from scipy.special import roots_hermitenorm
+    z, w = gauss_hermite_1d(n)
+    zs, ws = roots_hermitenorm(n)
+    ws = ws / ws.sum()
+    tol = 5e-14 if n <= 1024 else 2e-13
+    assert np.all(np.abs(z - zs) <= tol * np.maximum(1.0, np.abs(zs)))
+    big = ws >= 1e-300
+    assert np.all(np.abs(w[big] / ws[big] - 1.0) <= 1e-11)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -75,13 +155,13 @@ def test_adaptive_caps_nodes_in_all(monkeypatch, dim, n_last):
     # an estimate that never settles doubles until one more doubling would
     # take over ADAPTIVE_MAX_NODES**2 nodes in all (or the per-axis cap);
     # the stub records each slab's request and returns one node for it,
-    # weighted by the slab's share of the first axis
+    # log-weighted by the slab's share of the first axis
     asked = []
 
     def one_node(n, d, first=slice(None)):
         asked.append((n, d))
         share = len(range(n)[first]) / n
-        return np.zeros((1, d)), np.array([(1.0 + 1.0 / n) * share])
+        return np.zeros((1, d)), np.log([(1.0 + 1.0 / n) * share])
 
     monkeypatch.setattr(quadrature, "_tensor_nodes", one_node)
     res = gaussian_expectation_adaptive(lambda z: np.zeros(len(z)), dim, start_nodes=16)
@@ -133,8 +213,7 @@ def test_adaptive_estimate_is_one_slab_up_to_budget(dim, n):
     res = gaussian_expectation_adaptive(fn, dim, start_nodes=n // 2)
     assert res.converged and res.node_count == n
     assert sizes == [(n // 2) ** dim, n ** dim]
-    nodes, w = hf.QuadratureScheme(dim=dim, node_count=n).nodes_weights()
-    with np.errstate(divide="ignore"):     # the outer weights underflow to 0
-        a = np.log(w) + fn(nodes)
+    nodes, logw = hf.QuadratureScheme(dim=dim, node_count=n).nodes_log_weights()
+    a = logw + fn(nodes)
     m = np.max(a)
     assert res.value == float(np.exp(m) * np.exp(a - m).sum())

@@ -1,9 +1,10 @@
 """Start-up: scipy is imported inside the function that calls it.
 
 `import heatflow` loads numpy and no scipy module, and a command loads only
-the scipy modules its own work calls.  The module sets are read in a fresh
-interpreter, since this test process has scipy loaded already.  No timings
-are asserted: they vary too much from run to run.
+the scipy modules its own work calls: a transport loads none.  The module
+sets are read in a fresh interpreter, since this test process has scipy
+loaded already.  No timings are asserted: they vary too much from run to
+run.
 """
 
 import ast
@@ -132,21 +133,51 @@ def test_bound_and_profile_load_no_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-def test_2d_transport_loads_only_special(tmp_path):
-    # the Gauss-Hermite roots need scipy.special; the 1-d oracle's
-    # integrate, interpolate and optimize stay unloaded
-    loaded = set(loaded_after(tmp_path, "transport_gaussian2d.json")["scipy"])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
-
-
 @pytest.mark.parametrize("config", ["transport_bump.json", "transport_gaussian.json",
+                                    "transport_gaussian2d.json",
                                     "transport_regularized_tail.json"])
-def test_1d_transport_loads_only_special(tmp_path, config):
-    # the KS line's CDF table and the Lipschitz pairs are numpy only
-    loaded = set(loaded_after(tmp_path, config)["scipy"])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+def test_transport_loads_no_scipy(tmp_path, config):
+    # the Gauss-Hermite rule, the KS line's CDF table and the Lipschitz
+    # pairs are numpy only
+    assert loaded_after(tmp_path, config)["scipy"] == []
+
+
+# builds, in a fresh interpreter, the potential(s) of the benchmark workload
+# argv[1] as its set-up probe does, then prints the loaded scipy modules
+WORKLOAD_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+from workloads import WORKLOADS
+import heatflow
+from heatflow.quadrature import QuadratureScheme
+w = WORKLOADS[sys.argv[1]]
+cfgs = w.potential if isinstance(w.potential, list) else [w.potential]
+scheme = QuadratureScheme(dim=int(cfgs[0].get("params", {}).get("dim", 1)),
+                          node_count=int(w.scheme.get("node_count", 128)))
+for cfg in cfgs:
+    heatflow.potentials.from_config(cfg, scheme)
+print(json.dumps({"scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_workload_potentials_load_no_scipy(workload):
+    # normalize and mollify build their Gauss-Hermite rules with numpy
+    assert run_probe(WORKLOAD_PROBE, workload, str(ROOT / "bench"))["scipy"] == []
+
+
+def test_quadrature_imports_no_scipy():
+    # anywhere in the module, function bodies included: the rule has no
+    # scipy fallback
+    path = ROOT / "src" / "heatflow" / "quadrature.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [n for n in names if n == "scipy" or n.startswith("scipy.")], names
 
 
 def test_rearrangement_map_loads_only_special():
