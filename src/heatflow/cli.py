@@ -29,7 +29,7 @@ from .errors import HeatflowError
 from .flow import FlowIntegrator
 from .potentials import (GridSpec, check_keys, from_config, json_flag, json_int,
                          json_number, validate_metadata)
-from .quadrature import QuadratureScheme
+from .quadrature import GH_TENSOR_DIM_MAX, QuadratureScheme
 from .semigroup import SemigroupEvaluator, concavity_profile
 
 EXIT_OK = 0
@@ -111,20 +111,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _scheme_from(cfg: dict, dim: int, quick: bool) -> QuadratureScheme:
+    """The job's scheme: "node_count" up to GH_TENSOR_DIM_MAX, "sample_count"
+    and "seed" above it; a key the dimension's rule does not read is refused."""
     sc = cfg.get("scheme", {})
-    check_keys(sc, ("kind", "node_count", "sample_count", "seed"), "scheme")
-    node_count = json_int(sc, "node_count", QuadratureScheme.node_count)
-    sample_count = json_int(sc, "sample_count", QuadratureScheme.sample_count)
-    if quick:
-        node_count = _quick_count(node_count, 8)
+    if dim <= GH_TENSOR_DIM_MAX:
+        check_keys(sc, ("node_count",), f"dim-{dim} scheme")
+        node_count = json_int(sc, "node_count", QuadratureScheme.node_count)
+        return QuadratureScheme(
+            dim=dim, node_count=_quick_count(node_count, 8) if quick else node_count)
+    check_keys(sc, ("sample_count", "seed"), f"dim-{dim} scheme")
+    sample_count = json_int(sc, "sample_count") if "sample_count" in sc else None
+    if quick and sample_count is not None:
         sample_count = _quick_count(sample_count, 1000)
-    return QuadratureScheme(
-        dim=dim,
-        kind=sc.get("kind", QuadratureScheme.kind),
-        node_count=node_count,
-        sample_count=sample_count,
-        seed=json_int(sc, "seed", QuadratureScheme.seed),
-    )
+    return QuadratureScheme(dim=dim, sample_count=sample_count,
+                            seed=json_int(sc, "seed", QuadratureScheme.seed))
 
 
 def _potential_dim(pcfg: dict) -> int:

@@ -222,22 +222,22 @@ def log_mass(p: Potential, scheme: QuadratureScheme) -> tuple[float, float, bool
     """(log integral of e^{-V} dgamma, achieved relative tolerance,
     converged).
 
-    `converged` says whether the adaptive Gauss-Hermite estimate met
-    ADAPTIVE_REL_TOL before its node cap; it is None for a Monte Carlo
-    scheme, whose tolerance is the nominal 1/sqrt(sample_count) and which
-    has no convergence test.  Raises ValueError for a Gauss-Hermite scheme
-    above GH_TENSOR_DIM_MAX and HeatflowError when the mass estimate
-    diverges, vanishes or is not finite.
+    Up to GH_TENSOR_DIM_MAX the adaptive Gauss-Hermite estimate starts at
+    the scheme's node_count, and `converged` says whether it met
+    ADAPTIVE_REL_TOL before its node cap.  Above it the scheme's Monte
+    Carlo stream gives the estimate, its tolerance is the nominal
+    1/sqrt(sample_count) and `converged` is None (no convergence test).
+    Raises ValueError when the scheme's dimension is not the potential's,
+    and HeatflowError when the mass estimate diverges, vanishes or is not
+    finite.
     """
-    if scheme.kind == "monte_carlo":
+    if scheme.dim != p.dim:
+        raise ValueError("scheme dimension must match potential dimension")
+    if p.dim > GH_TENSOR_DIM_MAX:
         val = gaussian_expectation_mc(lambda z: p.density(z), scheme)
         if not np.isfinite(val) or val <= 0:
             raise HeatflowError("Monte Carlo mass estimate not finite")
         return float(np.log(val)), 1.0 / np.sqrt(scheme.sample_count), None
-    if p.dim > GH_TENSOR_DIM_MAX:
-        raise ValueError(
-            "dim above Gauss-Hermite cap; supply a monte_carlo scheme"
-        )
     res = gaussian_expectation_adaptive(
         lambda z: -p.value(z), p.dim, start_nodes=scheme.node_count)
     if res.value <= 0:
@@ -563,31 +563,28 @@ def mollify(p: Potential, sigma: float) -> Potential:
 # knots of the envelope table: |x| <= r + EVAL_PAD, EVAL_POINTS_PER_UNIT per unit
 EVAL_PAD = 6.0
 EVAL_POINTS_PER_UNIT = 400
+# points of the envelope's y-grid, and how far the doubled grid's envelope
+# may move before the envelope is refused
+ENVELOPE_GRID_POINTS = 4096
+ENVELOPE_GRID_TOL = 5e-3
 
 
-def lipschitz_regularize(
-    p: Potential,
-    l: float,
-    r: float,
-    points_per_axis: int = 4096,
-    grid_tol: float = 5e-3,
-    scheme: QuadratureScheme | None = None,
-) -> Potential:
-    """l-Lipschitz envelope inf{V(y) + l |x-y| : |y| <= r}, renormalized.
+def lipschitz_regularize(p: Potential, l: float, r: float) -> Potential:
+    """l-Lipschitz envelope inf{V(y) + l |x-y| : |y| <= r}, unnormalized.
 
     The infimum ranges over y (over the first argument the envelope would
     be V itself): over a sorted y-grid, plus the query point itself when it
     lies in the ball.  Over the grid it is min(min_{y<=x}(V(y) - l y) + l x,
     min_{y>x}(V(y) + l y) - l x), one prefix and one suffix minimum (the 1-d
     distance transform).  The result is stored as a piecewise-linear table
-    whose chord slopes are bounded by l by construction.  A doubled y-grid
-    must agree with the first pass within grid_tol, else HeatflowError.
-    Only dim 1 is supported.
+    whose chord slopes are bounded by l by construction.  The envelope over
+    ENVELOPE_GRID_POINTS grid points and over twice as many must agree
+    within ENVELOPE_GRID_TOL, else HeatflowError.  Only dim 1 is supported.
+    As for `mollify`, normalizing the result is left to the caller
+    (`from_config` normalizes last).
     """
     if l < 0 or r <= 0:
         raise ValueError("need l >= 0 and r > 0")
-    if points_per_axis < 2 or not grid_tol > 0:
-        raise ValueError("need points_per_axis >= 2 and grid_tol > 0")
     if p.dim != 1:
         raise ValueError("inf-convolution envelope implemented for dim 1")
 
@@ -612,22 +609,20 @@ def lipschitz_regularize(
         out[inside] = np.minimum(out[inside], v_inside)
         return out
 
-    env = envelope(points_per_axis)
-    env_fine = envelope(2 * points_per_axis)
+    env = envelope(ENVELOPE_GRID_POINTS)
+    env_fine = envelope(2 * ENVELOPE_GRID_POINTS)
     drift = float(np.max(np.abs(env - env_fine)))
-    if drift > grid_tol:
-        raise HeatflowError(
-            f"envelope moved {drift:.3e} under grid refinement (tol {grid_tol:.1e})"
-        )
+    if drift > ENVELOPE_GRID_TOL:
+        raise HeatflowError(f"envelope moved {drift:.3e} under grid refinement "
+                            f"(tol {ENVELOPE_GRID_TOL:.1e})")
 
-    out = tabulated(
+    return tabulated(
         xs, env_fine,
         name=f"lipschitz_regularize({p.name}, l={l}, r={r})",
         curvature_lower=None,
         oscillation=None,
         grad_sup_norm=l,
     )
-    return normalize(out, scheme or QuadratureScheme(dim=1))
 
 
 def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
@@ -640,7 +635,9 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
     Writing W(x) = V(x / sqrt(1-lam)) + lam |x|^2 / (2 (1-lam)), the
     substitution u = x / sqrt(1-lam) gives
         integral e^{-W} dgamma = (1-lam)^{dim/2} * integral e^{-V} dgamma,
-    so for normalized V the exact normalizing shift is (dim/2) log(1-lam).
+    so for normalized V the exact normalizing shift is (dim/2) log(1-lam),
+    and q keeps V's normalization record (norm_tol, norm_converged): its
+    shift carries V's normalization error and adds none.
     """
     lam = p.curvature_lower
     if lam is None or lam >= 1.0:
@@ -670,7 +667,7 @@ def caffarelli_reduction(p: Potential) -> tuple[Potential, float]:
         shift=shift,
         curvature_lower=0.0,
         oscillation=None, grad_sup_norm=None,
-        normalized=p.normalized,
+        normalized=p.normalized, norm_tol=p.norm_tol, norm_converged=p.norm_converged,
         name=f"caffarelli({p.name})",
     )
     return out, float(a)
@@ -734,7 +731,7 @@ _FAMILIES = {
 _METADATA_KEYS = ("curvature_lower", "oscillation", "grad_sup_norm")
 # each transform op's number keys, besides "op"
 _TRANSFORM_KEYS = {"mollify": ("sigma",),
-                   "lipschitz_regularize": ("l", "r", "points_per_axis", "grid_tol")}
+                   "lipschitz_regularize": ("l", "r")}
 
 
 def from_family(tag: str, params: dict | None = None) -> Potential:
@@ -792,11 +789,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
         if op == "mollify":
             pot = mollify(pot, float(tr["sigma"]))
         else:
-            kwargs = {k: tr[k] for k in ("points_per_axis", "grid_tol") if k in tr}
-            if "points_per_axis" in tr:
-                kwargs["points_per_axis"] = json_int(tr, "points_per_axis")
-            pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]),
-                                       scheme=scheme, **kwargs)
+            pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]))
 
     if json_flag(cfg, "normalize", True):
         pot = normalize(pot, scheme)

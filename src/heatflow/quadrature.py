@@ -2,8 +2,8 @@
 
 All weights use the probabilists' normalization, so a scheme integrates
 against the standard Gaussian measure directly: sum(w) = 1, sum(w z) = 0,
-sum(w z^2) = 1 per axis.  Gauss-Hermite tensorizes up to dimension 3;
-higher dimensions must use the Monte Carlo scheme.
+sum(w z^2) = 1 per axis.  The dimension picks the rule: tensor
+Gauss-Hermite up to dimension 3, antithetic Monte Carlo above.
 
 The Gauss-Hermite rule is computed here with numpy alone (see
 `gauss_hermite_1d`), so this module imports no scipy module.  A rule's
@@ -199,37 +199,37 @@ def _tensor_nodes(n: int, dim: int, first=slice(None)) -> tuple[np.ndarray, np.n
 class QuadratureScheme:
     """Rule for computing E[g(Z)] with Z ~ N(0, Id) in `dim` dimensions.
 
-    kind "gauss_hermite": `node_count` nodes per axis, tensorized.
-    kind "monte_carlo": `sample_count` antithetic draws from `seed`; the
-    full stream is generated in one pass from the seed, so results do not
-    depend on how work is later split across workers.
+    Up to GH_TENSOR_DIM_MAX: `node_count` Gauss-Hermite nodes per axis,
+    tensorized.  Above it: `sample_count` antithetic draws from `seed`,
+    generated in one pass from the seed, so results do not depend on how
+    work is later split across workers.  `sample_count` is given exactly
+    when the dimension is above the cap (ValueError otherwise).
     """
 
     dim: int
-    kind: str = "gauss_hermite"
     node_count: int = 128
-    sample_count: int = 1_000_000
+    sample_count: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind not in ("gauss_hermite", "monte_carlo"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.node_count < 1:
             raise ValueError("node count must be >= 1")
-        if self.sample_count < 1:
+        if self.dim <= GH_TENSOR_DIM_MAX and self.sample_count is not None:
+            raise ValueError(f"dim {self.dim} uses Gauss-Hermite, which reads no sample_count")
+        if self.dim > GH_TENSOR_DIM_MAX and self.sample_count is None:
+            raise ValueError(
+                f"dim {self.dim} is above the Gauss-Hermite cap {GH_TENSOR_DIM_MAX}: "
+                "its Monte Carlo scheme needs a sample_count"
+            )
+        if self.sample_count is not None and self.sample_count < 1:
             raise ValueError("sample count must be >= 1")
 
     def nodes_log_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (nodes (K, dim), log-weights (K,)), every log-weight
         finite; the weights they stand for sum to 1."""
-        if self.kind == "gauss_hermite":
-            if self.dim > GH_TENSOR_DIM_MAX:
-                raise ValueError(
-                    f"tensorized Gauss-Hermite capped at dim {GH_TENSOR_DIM_MAX}; "
-                    "use a monte_carlo scheme"
-                )
+        if self.dim <= GH_TENSOR_DIM_MAX:
             return _tensor_nodes(self.node_count, self.dim)
         m = max(1, self.sample_count // 2)
         rng = np.random.default_rng(self.seed)
@@ -316,6 +316,7 @@ def gaussian_expectation_adaptive(fn, dim: int, start_nodes: int = 64) -> Adapti
 
 
 def gaussian_expectation_mc(fn, scheme: QuadratureScheme) -> float:
-    """E[fn(Z)] by the scheme's deterministic antithetic Monte Carlo stream."""
+    """E[fn(Z)] as the scheme's weighted node sum: the deterministic
+    antithetic Monte Carlo stream above GH_TENSOR_DIM_MAX."""
     nodes, w = scheme.nodes_weights()
     return float(w @ fn(nodes))

@@ -27,6 +27,8 @@ TRANSPORT_CFG = {
     "samples": 600,
     "seed": 42,
 }
+# above dim 3 the scheme is Monte Carlo and needs a sample count
+GAUSSIAN_4D = {"family": "gaussian", "params": {"rho": 1.0, "dim": 4}}
 
 
 def test_transport_outputs(tmp_path):
@@ -332,7 +334,7 @@ def test_bad_flow_grid_config_error(tmp_path, flow, quick):
 @pytest.mark.parametrize("quick", [False, True])
 @pytest.mark.parametrize("override,message", [
     ({"scheme": {"node_count": 0}}, "node count must be >= 1"),
-    ({"scheme": {"kind": "monte_carlo", "sample_count": 0}}, "sample count must be >= 1"),
+    ({"potential": GAUSSIAN_4D, "scheme": {"sample_count": 0}}, "sample count must be >= 1"),
     ({"samples": 0}, "samples must be >= 1"),
 ], ids=["node_count", "sample_count", "samples"])
 def test_bad_count_config_error(tmp_path, capsys, override, message, quick):
@@ -354,8 +356,9 @@ NON_INTEGERS = {
     "seed": TRANSPORT_CFG | {"seed": 3.7},
     "scheme.node_count": TRANSPORT_CFG | {"scheme": {"node_count": 48.5}},
     "scheme.sample_count": TRANSPORT_CFG | {
-        "scheme": {"kind": "monte_carlo", "sample_count": 2000.5}},
-    "scheme.seed": TRANSPORT_CFG | {"scheme": {"node_count": 48, "seed": 1.5}},
+        "potential": GAUSSIAN_4D, "scheme": {"sample_count": 2000.5}},
+    "scheme.seed": TRANSPORT_CFG | {
+        "potential": GAUSSIAN_4D, "scheme": {"sample_count": 2000, "seed": 1.5}},
     "flow.n_steps": TRANSPORT_CFG | {"flow": {"n_steps": 40.5}},
     "potential.params.dim": TRANSPORT_CFG | {
         "potential": {"family": "gaussian", "params": {"rho": 1.0, "dim": 1.5}}},
@@ -391,8 +394,8 @@ def test_quick_never_raises_a_count(tmp_path):
     ev = hf.SemigroupEvaluator(hf.gaussian(1.0), hf.QuadratureScheme(1, node_count=8))
     assert cli._flow_from({"flow": {"n_steps": 10}}, ev, True).n_steps == 10
     assert cli._flow_from({"flow": {"n_steps": 600}}, ev, True).n_steps == 60
-    scheme = cli._scheme_from({"scheme": {"node_count": 4, "sample_count": 500}}, 1, True)
-    assert (scheme.node_count, scheme.sample_count) == (4, 500)
+    assert cli._scheme_from({"scheme": {"node_count": 4}}, 1, True).node_count == 4
+    assert cli._scheme_from({"scheme": {"sample_count": 500}}, 4, True).sample_count == 500
 
 
 def test_integral_float_counts_accepted(tmp_path):
@@ -450,15 +453,25 @@ def test_invalid_counterexample_params_config_error(tmp_path):
 GAUSSIAN = {"family": "gaussian", "params": {"rho": 1.0}}
 
 # bad input of every kind exits 2: values out of range, a dimension above
-# the Gauss-Hermite cap, a malformed verify job, unknown keys, a string
-# where a flag or a number belongs, the NaN literal json.load accepts, a
-# negative Lipschitz constant, and params or transforms of the wrong JSON type
+# the Gauss-Hermite cap without a sample count, a scheme key the
+# dimension's rule does not read, a malformed verify job, unknown or retired
+# keys, a string where a flag or a number belongs, the NaN literal
+# json.load accepts, a negative Lipschitz constant, and params or
+# transforms of the wrong JSON type
 CONFIG_ERRORS = {
     "bound_negative_c": {"command": "bound", "lambda": 2.0, "c": -1.0},
     "profile_negative_c": {"command": "profile", "lambda": 2.0, "c": -0.5},
     "gauss_hermite_4d": {
         "command": "transport", "samples": 3,
         "potential": {"family": "gaussian", "params": {"rho": 1.0, "dim": 4}}},
+    **{f"scheme_{name}": {"command": "transport", "samples": 3,
+                          "potential": potential, "scheme": scheme}
+       for name, potential, scheme in (
+           ("sample_count_at_dim_1", GAUSSIAN, {"sample_count": 2000}),
+           ("seed_at_dim_2", {"family": "gaussian", "params": {"rho": 1.0, "dim": 2}},
+            {"node_count": 8, "seed": 3}),
+           ("node_count_at_dim_4", GAUSSIAN_4D, {"sample_count": 2000, "node_count": 8}),
+           ("kind", GAUSSIAN, {"kind": "gauss_hermite", "node_count": 8}))},
     "verify_job_without_grid": {"command": "verify", "jobs": [{"table": {}}]},
     "unknown_and_string_keys": {
         "command": "transport", "potential": GAUSSIAN, "samples": 3,
@@ -496,30 +509,43 @@ def test_config_error_exit_code(name, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
-def test_integral_float_envelope_points_accepted():
-    # points_per_axis 64.0 is the integer 64 and builds the same table
-    tables = [hf.from_config({"family": "linear_tail", "transforms": [
-        {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0, "points_per_axis": n}]})
-        for n in (64, 64.0)]
-    x = np.linspace(-8.0, 8.0, 1601)[:, None]
-    assert np.array_equal(tables[0].value(x), tables[1].value(x))
-    assert tables[0].shift == tables[1].shift
-
-
-def test_numeric_failure_exit_code(tmp_path):
+def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     # an envelope whose grid-refinement guard trips is a numeric failure
+    monkeypatch.setattr(hf.potentials, "ENVELOPE_GRID_POINTS", 64)
+    monkeypatch.setattr(hf.potentials, "ENVELOPE_GRID_TOL", 1e-9)
     grid = np.linspace(-8, 8, 3201)
     cfg = write_cfg(tmp_path / "c.json", {
         "command": "transport",
         "potential": {
             "table": {"grid": grid.tolist(),
                       "values": (8.0 * np.cos(40.0 * grid)).tolist()},
-            "transforms": [{"op": "lipschitz_regularize", "l": 1.0, "r": 6.0,
-                            "points_per_axis": 64, "grid_tol": 1e-9}],
+            "transforms": [{"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}],
         },
         "samples": 10,
     })
     assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_dim4_monte_carlo_transport(tmp_path):
+    # above dim 3 the dimension picks the Monte Carlo rule; its stream comes
+    # from the scheme's seed, so a rerun is byte-identical.  gaussian(1)
+    # pushes gamma onto N(0, Id/2) by y -> y/sqrt(2)
+    cfg = write_cfg(tmp_path / "c.json", {
+        "command": "transport", "potential": GAUSSIAN_4D,
+        "scheme": {"sample_count": 2048, "seed": 3},
+        "flow": {"t_max": 8.0, "n_steps": 20}, "samples": 16})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("samples.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    lines = [l for l in (outs[0] / "samples.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert lines[0].split(",")[1:9] == [f"{c}_{d}" for c in ("input", "output")
+                                        for d in range(4)]
+    table = np.loadtxt(lines[1:], delimiter=",")
+    ys, zs = table[:, 1:5], table[:, 5:9]
+    assert np.max(np.abs(zs - ys / np.sqrt(2.0))) <= 0.05
 
 
 def gaussian2d_matches_closed_form(out):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import heatflow as hf
-from heatflow import cli
+from heatflow import cli, potentials
 from heatflow.errors import HeatflowError
 from heatflow.potentials import (
     EVAL_PAD,
@@ -84,10 +84,20 @@ def test_normalize_records_convergence():
         hf.QuadratureScheme(dim=1, node_count=64))
     assert tail.normalized and tail.norm_converged is False
     assert ADAPTIVE_REL_TOL < tail.norm_tol < 1e-8
-    # Monte Carlo has no convergence test
-    mc = hf.normalize(hf.gaussian(1.0), hf.QuadratureScheme(
-        dim=1, kind="monte_carlo", sample_count=1000))
+    # Monte Carlo, the rule above dim 3, has no convergence test
+    mc = hf.normalize(hf.gaussian(1.0, dim=4), hf.QuadratureScheme(
+        dim=4, sample_count=1000))
     assert mc.normalized and mc.norm_converged is None
+
+
+def test_normalize_refuses_a_scheme_of_another_dimension():
+    # a dim-1 rule would estimate the mass of a 4-d target as that of its
+    # first axis
+    p = hf.gaussian(1.0, dim=4)
+    with pytest.raises(ValueError, match="scheme dimension must match"):
+        hf.normalize(p, hf.QuadratureScheme(dim=1))
+    with pytest.raises(ValueError, match="scheme dimension must match"):
+        log_mass(hf.gaussian(1.0), hf.QuadratureScheme(dim=4, sample_count=4000, seed=1))
 
 
 def test_normalize_diverges_for_super_gaussian():
@@ -275,11 +285,11 @@ def test_mollify_transform_ignores_the_transport_scheme(node_count):
 
 
 def test_mollify_refuses_dim_above_the_tensor_cap():
-    # also under a monte_carlo transport scheme, which mollify does not use
+    # also under a Monte Carlo transport scheme, which mollify does not use
     cfg = {"family": "gaussian", "params": {"rho": 1.0, "dim": 4},
            "transforms": [{"op": "mollify", "sigma": 0.5}]}
     with pytest.raises(ValueError, match="mollify's Gauss-Hermite rule is capped at dim 3"):
-        hf.from_config(cfg, hf.QuadratureScheme(dim=4, kind="monte_carlo", sample_count=1000))
+        hf.from_config(cfg, hf.QuadratureScheme(dim=4, sample_count=1000))
 
 
 def test_mollify_declares_no_grad_bound(tmp_path):
@@ -331,6 +341,24 @@ def test_envelope_zero_slope_is_constant():
     assert np.ptp(reg.value(xs)) < 1e-12
 
 
+def test_regularized_target_is_normalized_once(monkeypatch):
+    # lipschitz_regularize leaves normalization to from_config, whose final
+    # normalize estimates the mass once
+    reg = hf.lipschitz_regularize(hf.linear_tail(), l=1.0, r=6.0)
+    assert not reg.normalized and reg.shift == 0.0
+    calls = []
+
+    def counted(p, scheme):
+        calls.append(p.name)
+        return log_mass(p, scheme)
+
+    monkeypatch.setattr(potentials, "log_mass", counted)
+    got = hf.from_config({"family": "linear_tail", "transforms": [
+        {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}]})
+    assert calls == [reg.name]
+    assert got.shift == hf.normalize(reg).shift
+
+
 def test_envelope_slopes_bounded(regularized_linear_tail):
     reg = regularized_linear_tail
     assert reg.grad_sup_norm == 1.0
@@ -359,20 +387,22 @@ def brute_envelope(p, l, r, xs, n_grid, rows=512):
     (hf.bump(0.0, 0.5, 0.5), 2.0, 8.0),
     (Potential(dim=1, raw_fn=lambda x: x[..., 0] ** 2, name="square"), 2.0, 10.0),
 ], ids=lambda v: getattr(v, "name", str(v)))
-def test_envelope_sweeps_match_brute_force(p, l, r):
+def test_envelope_sweeps_match_brute_force(monkeypatch, p, l, r):
     span = r + EVAL_PAD
     xs = np.linspace(-span, span, max(int(2 * span * EVAL_POINTS_PER_UNIT) + 1, 801))
     for n_fine in (4096, 8192):
-        reg = hf.lipschitz_regularize(p, l, r, points_per_axis=n_fine // 2)
+        monkeypatch.setattr(potentials, "ENVELOPE_GRID_POINTS", n_fine // 2)
+        reg = hf.lipschitz_regularize(p, l, r)
         table = reg.raw_fn(xs[:, None])  # the stored knots, before the shift
         assert np.max(np.abs(table - brute_envelope(p, l, r, xs, n_fine))) <= 1e-12
 
 
-def test_envelope_grid_refinement_guard():
+def test_envelope_grid_refinement_guard(monkeypatch):
     p = Potential(dim=1, raw_fn=lambda x: np.cos(40.0 * x[..., 0]) * 8.0)
+    monkeypatch.setattr(potentials, "ENVELOPE_GRID_POINTS", 64)
+    monkeypatch.setattr(potentials, "ENVELOPE_GRID_TOL", 1e-7)
     with pytest.raises(HeatflowError, match="envelope moved .* under grid refinement"):
-        hf.lipschitz_regularize(p, l=1.0, r=6.0, points_per_axis=64,
-                                grid_tol=1e-7)
+        hf.lipschitz_regularize(p, l=1.0, r=6.0)
 
 
 # -- dilation reduction ----------------------------------------------------------------
@@ -388,6 +418,14 @@ def test_caffarelli_dilation_constant():
     p = hf.normalize(p)
     _, a = hf.caffarelli_reduction(p)
     assert a == pytest.approx(2.0, rel=1e-12)
+
+
+def test_caffarelli_keeps_the_normalization_record():
+    # the exact shift (dim/2) log(1 - lam) inherits the input's error
+    p = hf.normalize(hf.gaussian(-0.5))
+    q, _ = hf.caffarelli_reduction(p)
+    assert q.normalized and q.norm_converged is True
+    assert q.norm_tol == p.norm_tol is not None
 
 
 def test_caffarelli_rejects_large_deficit():

@@ -116,13 +116,17 @@ def test_tensorized_moments(dim):
 
 
 def test_gh_dim_cap():
-    with pytest.raises(ValueError, match="tensorized Gauss-Hermite capped at dim 3"):
-        hf.QuadratureScheme(dim=4, node_count=8).nodes_weights()
+    # the dimension picks the rule: above dim 3 Monte Carlo, whose sample
+    # count must be given, and no sample count up to dim 3
+    with pytest.raises(ValueError, match="dim 4 is above the Gauss-Hermite cap 3: "
+                                         "its Monte Carlo scheme needs a sample_count"):
+        hf.QuadratureScheme(dim=4, node_count=8)
+    with pytest.raises(ValueError, match="dim 3 uses Gauss-Hermite, which reads no sample_count"):
+        hf.QuadratureScheme(dim=3, sample_count=1000)
 
 
 def test_mc_deterministic_and_antithetic():
-    scheme = hf.QuadratureScheme(dim=2, kind="monte_carlo",
-                                 sample_count=1000, seed=7)
+    scheme = hf.QuadratureScheme(dim=4, sample_count=1000, seed=7)
     n1, w1 = scheme.nodes_weights()
     n2, _ = scheme.nodes_weights()
     assert np.array_equal(n1, n2)

@@ -427,22 +427,22 @@ def test_single_point_shape_rejected(view, dim):
         call(np.full(dim, 0.3))
 
 
-def test_monte_carlo_scheme_pt_f(gaussian_one):
-    mc = hf.QuadratureScheme(dim=1, kind="monte_carlo", sample_count=200_000,
-                             seed=5)
-    ev = hf.SemigroupEvaluator(gaussian_one, mc)
-    got = np.exp(ev.log_pt_f(np.array([[1.0]]), 0.5)[0])
+def test_monte_carlo_scheme_pt_f():
+    # V = |x|^2 / 2 in dim 4, unnormalized: P_t e^{-V}(x) is a product of
+    # the 1-d closed form over the axes, here at x = (1, 0, 0, 0)
+    mc = hf.QuadratureScheme(dim=4, sample_count=200_000, seed=5)
+    ev = hf.SemigroupEvaluator(hf.gaussian(1.0, dim=4), mc)
+    x = np.array([[1.0, 0.0, 0.0, 0.0]])
+    got = np.exp(ev.log_pt_f(x, 0.5)[0])
     e2 = np.exp(-1.0)
-    want = np.exp(-0.5 * np.log(2.0 - e2) - 0.5 * e2 / (2.0 - e2)
-                  + 0.5 * np.log(2.0))
+    want = np.exp(-2.0 * np.log(2.0 - e2) - 0.5 * e2 / (2.0 - e2))
     assert got == pytest.approx(want, rel=5e-3)
 
 
 def test_high_dim_needs_monte_carlo():
     p = hf.gaussian(1.0, dim=4)
-    with pytest.raises(ValueError, match="dim above Gauss-Hermite cap"):
-        hf.normalize(p, hf.QuadratureScheme(dim=4))
-    mc = hf.QuadratureScheme(dim=4, kind="monte_carlo", sample_count=400_000,
-                             seed=3)
+    with pytest.raises(ValueError, match="needs a sample_count"):
+        hf.normalize(p)
+    mc = hf.QuadratureScheme(dim=4, sample_count=400_000, seed=3)
     q = hf.normalize(p, mc)
     assert q.shift == pytest.approx(-2.0 * np.log(2.0), abs=2e-2)
