@@ -65,7 +65,10 @@ class Potential:
 
     curvature_lower is a declared lam >= 0 with D^2 V >= -lam (None when no
     finite bound is declared); oscillation bounds sup V - inf V; both are
-    metadata validated on grids, not enforced at evaluation time.
+    metadata validated on grids, not enforced at evaluation time.  The
+    semigroup pass reads the oscillation to skip the quadrature nodes that
+    cannot reach its sums (see SemigroupEvaluator), so an understated one
+    costs accuracy there, and a negative one is refused.
     norm_tol and norm_converged record the mass estimate of `normalize`
     (None until it runs, and norm_converged None under Monte Carlo).
     Instances are immutable and all evaluations are pure, so they are safe
@@ -313,9 +316,19 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
         return height * np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
 
     def value_grad(x):
+        # raw(x) and its gradient with no temporary beyond the squared
+        # distance: it is summed over coordinates in np.sum's order, and
+        # the profile and gradient are formed in place, bit for bit as raw
         d = x - c
-        prof = np.exp(-np.sum(d * d, axis=-1) / (2.0 * r2))
-        return height * prof, -(height / r2) * prof[..., None] * d
+        q = d[..., 0] * d[..., 0]
+        for i in range(1, dim):
+            q += d[..., i] * d[..., i]
+        q /= -2.0 * r2
+        prof = np.exp(q, out=q)
+        val = height * prof
+        prof *= -(height / r2)
+        d *= prof[..., None]
+        return val, d
 
     def hess(x):
         d = x - c
@@ -752,7 +765,7 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
     ({"op": "mollify", "sigma": s} | {"op": "lipschitz_regularize", "l": .., "r": ..}),
     and "normalize": false to skip the final normalization.  A key outside
     this schema, at any level, raises ValueError, as does a parameter or
-    number that is not a JSON number.
+    number that is not a JSON number, or a negative metadata override.
     """
     source = ("family", "params") if "family" in cfg else ("table",)
     check_keys(cfg, source + _METADATA_KEYS + ("transforms", "normalize"),
@@ -773,6 +786,11 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
         raise ValueError("potential config needs 'family' or 'table'")
 
     overrides = {key: json_number(cfg, key) for key in _METADATA_KEYS if key in cfg}
+    for key, v in overrides.items():
+        # a negative bound would certify falsely, and a negative oscillation
+        # would drop nodes that the semigroup pass needs
+        if isinstance(v, list) or v < 0:
+            raise ValueError(f"{key!r} must be a number >= 0, got {v!r}")
     if overrides:
         pot = dataclasses.replace(pot, **overrides)
 

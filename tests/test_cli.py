@@ -497,7 +497,25 @@ CONFIG_ERRORS = {
        for name, bad in (("fractional_points", {"points_per_axis": 64.5}),
                          ("zero_points", {"points_per_axis": 0}),
                          ("negative_grid_tol", {"grid_tol": -1.0}))},
+    **{f"{name}_{key}": {"command": "transport", "samples": 3,
+                         "potential": {"family": "bump", key: bad}}
+       for name, key, bad in (("negative", "curvature_lower", -0.5),
+                              ("negative", "oscillation", -3.0),
+                              ("negative", "grad_sup_norm", -1.0),
+                              ("list", "oscillation", [0.5]))},
 }
+
+
+@pytest.mark.parametrize("key", ["curvature_lower", "oscillation", "grad_sup_norm"])
+def test_negative_metadata_refused_before_any_output(key, tmp_path):
+    # a negative override is refused when the config is read, before the
+    # transport runs: it writes no samples.csv and no summary.json
+    cfg = write_cfg(tmp_path / "c.json", {
+        "command": "transport", "samples": 3,
+        "potential": {"family": "bump", "curvature_lower": 2.0, key: -3.0}})
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out), "--quick"]) == 2
+    assert not (out / "samples.csv").exists() and not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("name", CONFIG_ERRORS)

@@ -189,7 +189,10 @@ def recording(p):
 def test_blocked_pass_matches_row_by_row(std_bump):
     p, seen = recording(std_bump)
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=128))
-    xs = np.linspace(-4.0, 4.0, 320)[:, None]
+    # rows per block at t > 0, from the nodes the pass keeps: the batch
+    # spans two and a half blocks
+    step = semigroup.BLOCK_BYTES // (8 * ev._logw.size * 5)
+    xs = np.linspace(-4.0, 4.0, 2 * step + step // 2)[:, None]
     for t in (0.0, 0.05, 1.3):
         seen.clear()
         drift, hess = ev.drift_and_hess_vt(xs, t)
@@ -254,7 +257,11 @@ def test_potential_sees_the_node_points(dim, node_count):
     p, seen = recording(hf.bump(0.2, 0.6, 0.5, dim))
     scheme = hf.QuadratureScheme(dim=dim, node_count=node_count)
     ev = hf.SemigroupEvaluator(p, scheme)
-    nodes, w = scheme.nodes_weights()
+    # the nodes that can reach the sums under the oscillation 0.5: 44 of
+    # the 64 in dim 1, every node of the smaller rules
+    nodes, logw = scheme.nodes_log_weights()
+    keep = logw >= logw.max() - 0.5 - np.log(2.0**53 * logw.size)
+    nodes, logw = nodes[keep], logw[keep]
     xs = 1.5 * np.random.default_rng(dim).standard_normal((40, dim))
     for t in (0.05, 1.3):
         e, s = np.exp(-t), np.sqrt(-np.expm1(-2.0 * t))
@@ -266,7 +273,7 @@ def test_potential_sees_the_node_points(dim, node_count):
         assert np.array_equal(np.concatenate([x for _, x in seen]), pts)
         # the same pass written inline over C-ordered (rows, K, dim) arrays
         v, gv = p.value_and_grad(pts)
-        u = np.log(w)[None, :] - v
+        u = logw[None, :] - v
         u = np.exp(u - np.max(u, axis=1)[:, None])
         den = np.sum(u, axis=1)
         grad_ratio = -e * np.einsum("nk,nkd->nd", u, gv) / den[:, None]
@@ -284,6 +291,104 @@ def test_potential_sees_the_node_points(dim, node_count):
             assert np.all(np.abs(drift + grad_ratio) <= 1e-14 * g_size)
             assert np.all(np.abs(hess - want)
                           <= 1e-14 * (h_size + g_size[..., :, None] * g_size[..., None, :]))
+
+
+# -- the nodes a pass keeps ------------------------------------------------------
+
+@pytest.mark.parametrize("dim, node_count", [(1, 64), (1, 128), (2, 24), (2, 32), (3, 12)])
+def test_pruned_pass_matches_every_node(dim, node_count):
+    # dropping the nodes that cannot reach a sum moves every output by
+    # rounding only; tolerances are absolute, since entries near 1e-23
+    # move by more than 1e-8 of themselves
+    scheme = hf.QuadratureScheme(dim=dim, node_count=node_count)
+    p = hf.bump(0.2, 0.6, 0.5, dim)
+    pruned = hf.SemigroupEvaluator(p, scheme)
+    full = hf.SemigroupEvaluator(dataclasses.replace(p, oscillation=None), scheme)
+    xs = np.concatenate([1.5 * np.random.default_rng(dim).standard_normal((30, dim)),
+                         np.full((1, dim), 4.0), np.full((1, dim), -6.0)])
+    for t in (0.012, 0.05, 1.0, 8.0):
+        assert np.max(np.abs(pruned.log_pt_f(xs, t) - full.log_pt_f(xs, t))) <= 1e-15
+        assert np.max(np.abs(pruned.drift(xs, t) - full.drift(xs, t))) <= 1e-15
+        hessians = [(pruned.drift_and_hess_vt(xs, t)[1], full.drift_and_hess_vt(xs, t)[1])]
+        hessians += [(pruned.hess_pt_f(xs, t, route), full.hess_pt_f(xs, t, route))
+                     for route in ("commute", "hermite")]
+        for got, want in hessians:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, node_count, kept", [
+    (1, 64, 44), (1, 128, 64), (2, 24, 520), (2, 32, 756), (3, 16, 3920), (1, 8, 8)])
+def test_kept_node_counts(dim, node_count, kept):
+    ev = hf.SemigroupEvaluator(hf.bump(0.2, 0.6, 0.5, dim),
+                               hf.QuadratureScheme(dim=dim, node_count=node_count))
+    assert ev._nodes.shape == (kept, dim) and ev._logw.shape == (kept,)
+    assert ev._nodes_dm.shape == (dim, kept) and ev._outer.shape == (dim, dim, kept)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "tail", "none", "inf", "monte_carlo"])
+def test_every_node_kept_without_a_finite_oscillation(case, regularized_linear_tail):
+    scheme = hf.QuadratureScheme(dim=1, node_count=128)
+    p = {"gaussian": hf.gaussian(1.0),
+         "tail": regularized_linear_tail,
+         "none": dataclasses.replace(hf.bump(), oscillation=None),
+         "inf": dataclasses.replace(hf.bump(), oscillation=np.inf),
+         "monte_carlo": hf.bump(dim=4)}[case]
+    if case == "monte_carlo":
+        # equal weights: none lies below the heaviest, whatever the oscillation
+        scheme = hf.QuadratureScheme(dim=4, sample_count=500, seed=1)
+    ev = hf.SemigroupEvaluator(p, scheme)
+    nodes, logw = scheme.nodes_log_weights()
+    assert np.array_equal(ev._nodes, nodes) and np.array_equal(ev._logw, logw)
+
+
+def test_zero_oscillation_keeps_nodes_by_weight_alone():
+    scheme = hf.QuadratureScheme(dim=1, node_count=128)
+    ev = hf.SemigroupEvaluator(hf.potentials.constant(), scheme)
+    nodes, logw = scheme.nodes_log_weights()
+    keep = logw >= logw.max() - np.log(2.0**53 * 128)
+    # 64 of 128; a declared oscillation of 5 widens the cut to 68
+    assert keep.sum() == 64
+    assert hf.SemigroupEvaluator(hf.bump(height=5.0), scheme)._logw.size == 68
+    assert np.array_equal(ev._nodes, nodes[keep]) and np.array_equal(ev._logw, logw[keep])
+    x = np.linspace(-5.0, 5.0, 11)[:, None]
+    assert np.array_equal(ev.log_pt_f(x, 0.7), np.zeros(11))
+
+
+def test_negative_oscillation_refused():
+    with pytest.raises(ValueError, match="oscillation must be >= 0"):
+        hf.SemigroupEvaluator(dataclasses.replace(hf.bump(), oscillation=-3.0),
+                              hf.QuadratureScheme(dim=1, node_count=64))
+
+
+@pytest.mark.parametrize("dim, node_count", [(1, 64), (2, 24)])
+def test_drift_bound_exact_on_pruned_bump(dim, node_count):
+    p = hf.bump(0.2, 0.6, 0.5, dim)
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=dim, node_count=node_count))
+    xs = 3.0 * np.random.default_rng(dim).standard_normal((200, dim))
+    for t in (0.012, 0.05, 1.0, 8.0):
+        norms = np.linalg.norm(ev.drift(xs, t), axis=-1)
+        assert np.all(norms <= np.exp(-t) * p.grad_sup_norm)
+
+
+@pytest.mark.parametrize("oscillation", [0.5, None])
+@pytest.mark.parametrize("dim, node_count", [(1, 64), (2, 24)])
+def test_potential_receives_the_kept_node_axis(dim, node_count, oscillation):
+    # the benchmark tracer counts a pass's node evaluations as rows times
+    # ev._nodes.shape[0]; that must be the K axis the potential is given
+    p, seen = recording(dataclasses.replace(hf.bump(0.2, 0.6, 0.5, dim),
+                                            oscillation=oscillation))
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=dim, node_count=node_count))
+    k = ev._nodes.shape[0]
+    assert k == ev._logw.size and (k < node_count ** dim) == (oscillation is not None)
+    xs = np.random.default_rng(dim).standard_normal((50, dim))
+    for t in (0.05, 1.3):
+        seen.clear()
+        ev.log_pt_f(xs, t)
+        ev.drift(xs, t)
+        ev.drift_and_hess_vt(xs, t)
+        ev.hess_pt_f(xs, t, route="commute")
+        assert {kind for kind, _ in seen} == {"value", "value_grad", "hess"}
+        assert all(x.shape[1:] == (k, dim) for _, x in seen)
 
 
 def test_underflow_rows_in_different_blocks_named_by_one_error(monkeypatch, gh_scheme):
