@@ -183,6 +183,7 @@ def run_transport(cfg: dict, out: Path, quick: bool) -> int:
                              else np.full(count, np.nan))
     eb = ps.error_bound if ps.error_bound is not None else np.nan
     cols["error_bound"] = np.full(count, eb)
+    cols["error_bound"][ps.failed_indices] = np.nan   # a failed row is at its input
     _write_csv(out / "samples.csv", header, cols)
 
     # the statistics need one good sample (KS) or two (Lipschitz ratio);

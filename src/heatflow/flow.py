@@ -6,16 +6,15 @@ t_max realizes the inverse map T approx S_{t_max}^{-1}, which pushes gamma
 onto e^{-V} dgamma up to a truncation error of e^{-t_max} sup|grad V|
 (the drift obeys |grad V_t| <= e^{-t} sup|grad V|).
 
-One classic RK4 loop integrates the state (z, J) on a time grid that is
-uniform in log(1 + t), so the steps are short where the drift changes
-fastest (small t) and long where it has decayed.  The spatial Jacobian
-solves dJ/dt = D^2 V_t(S_t) J and rides in the same stages as the state
-so the two stay synchronized, or is absent (None) when not requested.
-Every stage is one semigroup pass at the stage time: `drift` without the
-Jacobian, `drift_and_hess_vt` with it.  Backward runs reuse the forward
-drift routine with a negated step; there is no separate reverse-drift
-code path.  Points come as (N, dim) batches only; a (dim,) array raises
-ValueError.
+One classic RK4 loop integrates the state (z, J) on a grid uniform in the
+angle theta, e^{-t} = cos theta, where the flow's point is cos theta x +
+sin theta Z.  The fields dz/dtheta = tan theta grad V_t(z) and dJ/dtheta =
+tan theta D^2 V_t(z) J are smooth on the closed interval (in t the drift
+has a sqrt(t) singularity at t = 0) and vanish at theta = 0.  Every stage
+off theta = 0 is one semigroup pass at t = -log cos theta: `drift`, or
+`drift_and_hess_vt` when the Jacobian (else None) rides along; a stage at
+theta = 0 makes none.  Backward runs negate the step.  Points come as
+(N, dim) batches only; a (dim,) array raises ValueError.
 
 Rows of a batch never interact, so `pushforward_samples` cuts its rows
 into spans of at most MAX_SPAN_ROWS rows and maps them on every CPU the
@@ -26,6 +25,7 @@ the span sizes or the worker count.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -76,7 +76,7 @@ def map_table(samples: "PushforwardSamples") -> list[dict]:
             "output": samples.outputs[i].tolist(),
             "jacobian_norm": (None if samples.jacobian_norms is None
                               else float(samples.jacobian_norms[i])),
-            "error_bound": samples.error_bound,
+            "error_bound": None if i in samples.failed_indices else samples.error_bound,
         })
     return out
 
@@ -137,16 +137,25 @@ def _span_map(job, workers: int):
 
 
 def _axpy(y, a, k):
-    """The state y + a k, componentwise; None components stay None."""
+    """The state y + a k, componentwise; None components stay None, and a
+    field k of None (a zero one) leaves y as it is."""
+    if k is None:
+        return y
     return tuple(None if yi is None else yi + a * ki for yi, ki in zip(y, k))
+
+
+def _time(theta):
+    """t = -log cos theta, written with 1 - cos theta = 2 sin^2(theta/2) so
+    small angles keep their digits."""
+    return -np.log1p(-2.0 * np.sin(0.5 * theta) ** 2)
 
 
 @dataclass(frozen=True)
 class FlowIntegrator:
     """Time-stepping engine for the flow and its variational equation.
 
-    Classic RK4 with n_steps steps, uniform in log(1 + t); backward
-    transport starts at the truncation horizon t_max.
+    Classic RK4 with n_steps steps, uniform in the angle theta (e^{-t} =
+    cos theta); backward transport starts at the truncation horizon t_max.
     """
 
     evaluator: SemigroupEvaluator
@@ -162,48 +171,49 @@ class FlowIntegrator:
     # -- the vector field and its one stepper ----------------------------
 
     def _field(self, y, t: float):
-        """(dz/dt, dJ/dt or None) at the state y = (z, J or None)."""
+        """(tan theta, (dz/dt, dJ/dt or None)) at y = (z, J or None), whose
+        product is the theta-field; (0, None) at t = 0.  tan theta comes from t,
+        as the pass's cos and sin do, so |dz/dtheta| <= sin theta sup|grad V|."""
+        if t == 0.0:
+            return 0.0, None
         z, J = y
         if J is None:
-            return self.evaluator.drift(z, t), None
-        dz, H = self.evaluator.drift_and_hess_vt(z, t)
-        return dz, np.einsum("nde,nef->ndf", H, J)
+            k = self.evaluator.drift(z, t), None
+        else:
+            dz, H = self.evaluator.drift_and_hess_vt(z, t)
+            k = dz, np.einsum("nde,nef->ndf", H, J)
+        return math.sqrt(math.expm1(2.0 * t)), k
 
     def _rk4(self, z0, grid: np.ndarray, with_jac: bool, record: bool = False):
-        """RK4 for the state (z, J) over the time grid.
+        """RK4 for the state (z, J) over the angle grid.
 
         J starts at the identity when `with_jac`, else stays None.  Returns
-        the final state, or the states at every grid time when `record`.
+        the final state, or the states at every grid angle when `record`.
         """
         z = np.array(z0, dtype=float)
         n, dim = z.shape
         y = (z, np.broadcast_to(np.eye(dim), (n, dim, dim)).copy() if with_jac else None)
         path = [y]
-        for t, t_next in zip(grid[:-1], grid[1:]):
-            h = t_next - t
-            mid = 0.5 * (t + t_next)
-            k1 = self._field(y, t)
-            k2 = self._field(_axpy(y, 0.5 * h, k1), mid)
-            k3 = self._field(_axpy(y, 0.5 * h, k2), mid)
-            k4 = self._field(_axpy(y, h, k3), t_next)
-            slope = tuple(None if a is None else a + 2 * b + 2 * c + d
-                          for a, b, c, d in zip(k1, k2, k3, k4))
-            y = _axpy(y, h / 6.0, slope)
+        t, mid = _time(grid).tolist(), _time(0.5 * (grid[:-1] + grid[1:])).tolist()
+        for i, h in enumerate(np.diff(grid).tolist()):
+            a1, k1 = self._field(y, t[i])
+            a2, k2 = self._field(_axpy(y, 0.5 * h * a1, k1), mid[i])
+            _, k3 = self._field(_axpy(y, 0.5 * h * a2, k2), mid[i])
+            a4, k4 = self._field(_axpy(y, h * a2, k3), t[i + 1])
+            for a, k in ((h * a1 / 6.0, k1), (h * a2 / 3.0, k2),
+                         (h * a2 / 3.0, k3), (h * a4 / 6.0, k4)):
+                y = _axpy(y, a, k)
             if record:
                 path.append(y)
         return path if record else y
 
     def _grid(self, t0: float, t1: float) -> np.ndarray:
-        """n_steps + 1 times from t0 to t1, uniform in log(1 + t).
-
-        The drift changes fastest near t = 0 and has decayed at large t,
-        so the steps grow like 1 + t.  Stage times come from the grid, not
-        accumulation, and both ends are set exactly: the final stage must
-        land on t1 (t = 0 selects the exact-Hessian route).
-        """
-        grid = np.expm1(np.linspace(np.log1p(t0), np.log1p(t1), self.n_steps + 1))
-        grid[0], grid[-1] = t0, t1
-        return grid
+        """n_steps + 1 angles from theta(t0) to theta(t1), uniform.  atan2
+        keeps both ends precise (arccos(e^{-t}) loses digits at small t)
+        and theta(0) = 0 exact."""
+        t = np.array([t0, t1])
+        th0, th1 = np.arctan2(np.sqrt(-np.expm1(-2.0 * t)), np.exp(-t))
+        return np.linspace(th0, th1, self.n_steps + 1)
 
     # -- public operations --------------------------------------------------
 
@@ -216,7 +226,9 @@ class FlowIntegrator:
         grid = self._grid(t0, t1)
         path = self._rk4(xb, grid, with_jacobian, record=True)
         jacs = np.asarray([J for _, J in path]) if with_jacobian else None
-        return TrajectoryRecord(grid, np.asarray([z for z, _ in path]), jacs)
+        times = _time(grid)
+        times[0], times[-1] = t0, t1
+        return TrajectoryRecord(times, np.asarray([z for z, _ in path]), jacs)
 
     def transport_batch(self, y: np.ndarray, with_jacobian: bool = False):
         """Backward integration from t_max to 0 for a batch of points.
@@ -262,13 +274,13 @@ class FlowIntegrator:
     def inverse_transport(self, y: np.ndarray) -> TransportResult:
         """T(y) approx S_{t_max}^{-1}(y): the map pushing gamma onto e^{-V} dgamma.
 
-        When the potential declares no gradient bound the result is still
-        returned but its truncation error cannot be certified.
+        When the potential declares no gradient bound, or in dims >= 2, the
+        result is still returned but not certified (see pushforward_samples).
         """
         z, _, failed = self.transport_batch(y)
         if failed.any():
             raise DensityUnderflowError("drift underflow along the trajectory")
-        bound = self.truncation_error_bound()
+        bound = self.truncation_error_bound() if z.shape[1] == 1 else None
         return TransportResult(z, bound, bound is not None)
 
     def jacobian_along_flow(self, y: np.ndarray):
@@ -295,8 +307,10 @@ class FlowIntegrator:
         independent of the span sizes and of the worker count, bit for
         bit.  Per-sample failures are flagged by index, never dropped; a
         worker that dies raises HeatflowError.  The run is certified only
-        with a truncation bound and no failed sample: a failed sample comes
-        back at its input, not within the bound of T(y).
+        in dim 1, with a truncation bound and no failed sample: a failed
+        sample comes back at its input, not within the bound of T(y).  In
+        dims >= 2 the quadrature error, which nothing bounds, dominates the
+        truncation term (2-d bump, 24^2 nodes: 7.5e-6 against 2.7e-3).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -316,7 +330,7 @@ class FlowIntegrator:
                 failed[lo:hi] = bad
                 if with_jacobian:
                     norms[lo:hi] = np.linalg.svd(J, compute_uv=False)[..., 0]
-        bound = self.truncation_error_bound()
+        bound = self.truncation_error_bound() if dim == 1 else None
         return PushforwardSamples(inputs, outputs, norms, bound,
                                   bound is not None and not failed.any(),
                                   np.flatnonzero(failed))

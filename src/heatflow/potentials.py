@@ -87,7 +87,7 @@ class Potential:
     # None means central finite differences of value
     value_grad_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     shift: float = 0.0
-    curvature_lower: Optional[float] = 0.0
+    curvature_lower: Optional[float] = None
     oscillation: Optional[float] = None
     grad_sup_norm: Optional[float] = None
     normalized: bool = False

@@ -24,7 +24,7 @@ weighted sums follow the same rule: the row is the outer loop and K the
 contiguous one.  In dim 1 the two layouts are the same memory.
 
 Batched evaluation: x is a batch of points of shape (N, dim), and every
-output has the leading N axis.
+output has the leading N axis.  Every view needs a time t > 0, else ValueError.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _times(t: float) -> tuple[float, float]:
+    """(e^{-t}, sqrt(1 - e^{-2t})) for t > 0; ValueError otherwise."""
+    if not t > 0.0:
+        raise ValueError(f"time must be > 0, got {t!r}")
+    return float(np.exp(-t)), float(np.sqrt(-np.expm1(-2.0 * t)))
+
+
 def _node_points(x: np.ndarray, e: float, sz_dm: np.ndarray) -> np.ndarray:
     """The points e x + s z for rows x (N, dim) and scaled nodes s z stored
     dim-major (dim, K): an (N, K, dim) view of a C-ordered (dim, N, K) array."""
@@ -63,15 +70,10 @@ def _node_points(x: np.ndarray, e: float, sz_dm: np.ndarray) -> np.ndarray:
 def ou_expectation(fn, x: np.ndarray, t: float, scheme: QuadratureScheme) -> np.ndarray:
     """E fn(e^{-t} x + sqrt(1-e^{-2t}) Z) for an arbitrary integrand fn.
 
-    fn maps (..., dim) -> (...).  At t = 0 this is fn(x) exactly.
+    fn maps (..., dim) -> (...); t must be > 0.
     """
     xb = _as_batch(x, scheme.dim)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return fn(xb)
-    e = np.exp(-t)
-    s = np.sqrt(-np.expm1(-2.0 * t))
+    e, s = _times(t)
     nodes, w = scheme.nodes_weights()
     pts = e * xb[:, None, :] + s * nodes[None, :, :]
     return fn(pts) @ w
@@ -148,11 +150,10 @@ class SemigroupEvaluator:
         With u = w f(pts) / e^m (max-shifted weights) and e = e^{-t}:
         den = sum u, so f_t = e^m den; G = sum u grad V (if `grad`); H is
         sum u (Z Z^T - Id) on the hermite route or sum u (grad V grad V^T -
-        D^2 V) on the commute route (None without a route).  At t = 0 the
-        point x is its own single node with unit weight, so every sum is V
-        and its derivatives evaluated exactly at x.  Raises
-        DensityUnderflowError, naming every offending row, when f_t is at
-        or below the floor or undefined for any row.
+        D^2 V) on the commute route (None without a route).  Raises
+        ValueError unless t > 0, and DensityUnderflowError, naming every
+        offending row, when f_t is at or below the floor or undefined for
+        any row.
 
         Rows go through in blocks sized so every (rows, K, .) temporary
         stays near BLOCK_BYTES; each row's sums do not depend on the block.
@@ -160,16 +161,8 @@ class SemigroupEvaluator:
         """
         if hess_route not in (None, "commute", "hermite"):
             raise ValueError(f"unknown hessian route {hess_route!r}")
-        if hess_route == "hermite" and t <= 0.0:
-            raise ValueError("hermite route requires t > 0")
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0.0:
-            e, sz, logw = 1.0, None, np.zeros(1)
-        else:
-            e = float(np.exp(-t))
-            sz = float(np.sqrt(-np.expm1(-2.0 * t))) * self._nodes_dm
-            logw = self._logw
+        e, s = _times(t)
+        sz, logw = s * self._nodes_dm, self._logw
         n, dim = xb.shape
         with_grad = grad or hess_route == "commute"
         m, den = np.empty(n), np.empty(n)
@@ -178,10 +171,7 @@ class SemigroupEvaluator:
         step = max(1, BLOCK_BYTES // (8 * logw.size * (2 * dim + 3)))
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
-            if sz is None:
-                pts = xb[rows, None, :]
-            else:
-                pts = _node_points(xb[rows], e, sz)
+            pts = _node_points(xb[rows], e, sz)
             if with_grad:
                 v, gv = self.potential.value_and_grad(pts)
                 gv = gv.transpose(2, 0, 1)
@@ -208,8 +198,7 @@ class SemigroupEvaluator:
     # -- public surface: views over the pass ----------------------------------
 
     def log_pt_f(self, x: np.ndarray, t: float) -> np.ndarray:
-        """log f_t(x) = -V_t(x); exact -V(x) at t = 0, quadrature estimate
-        otherwise."""
+        """log f_t(x) = -V_t(x), a quadrature estimate."""
         _, m, den, _, _ = self._moments(_as_batch(x, self.potential.dim), t)
         return m + np.log(den)
 
@@ -222,9 +211,9 @@ class SemigroupEvaluator:
         """Hessian of f_t by either route.
 
         route "commute": e^{-2t} E[(D^2 f)(pts)] with D^2 f = f (grad V grad V^T - D^2 V);
-        needs Hessian access on the potential, valid at every t >= 0.
+        needs Hessian access on the potential.
         route "hermite": E[(Z Z^T - Id) f(pts)] / (e^{2t} - 1); only samples V,
-        so it works for rough potentials, but requires t > 0.
+        so it works for rough potentials.
         """
         e, m, _, _, H = self._moments(_as_batch(x, self.potential.dim), t,
                                       hess_route=route)
@@ -237,7 +226,7 @@ class SemigroupEvaluator:
 
         Uses the gradient-commutation form, whose quadrature value obeys
         |drift| <= e^{-t} sup|grad V| identically (positive weights average
-        grad V pointwise), and which stays finite in the t -> 0 limit.
+        grad V pointwise).
         """
         e, _, den, G, _ = self._moments(_as_batch(x, self.potential.dim), t, grad=True)
         return e * G / den[:, None]
@@ -248,18 +237,12 @@ class SemigroupEvaluator:
         D^2 V_t = -D^2 f_t / f_t + (grad f_t / f_t) (grad f_t / f_t)^T, with
         D^2 f_t from the hermite route (it only samples V, so it is correct
         for rough potentials whose pointwise Hessian misses kink curvature).
-        At t = 0 no route is used: D^2 V_0 is the potential's own Hessian.
         """
-        xb = _as_batch(x, self.potential.dim)
-        hess_route = None if t == 0.0 else "hermite"
-        e, _, den, G, H = self._moments(xb, t, grad=True, hess_route=hess_route)
-        grad_ratio = -e * G / den[:, None]
-        if hess_route is None:
-            hess_vt = self.potential.hess(xb)
-        else:
-            hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
-            hess_vt = -hess_ratio + grad_ratio[..., :, None] * grad_ratio[..., None, :]
-        return -grad_ratio, hess_vt
+        e, _, den, G, H = self._moments(_as_batch(x, self.potential.dim), t,
+                                        grad=True, hess_route="hermite")
+        drift = e * G / den[:, None]
+        hess_ratio = H / (den * np.expm1(2.0 * t))[:, None, None]
+        return drift, drift[:, :, None] * drift[:, None, :] - hess_ratio
 
     def log_concavity(self, x: np.ndarray, t: float) -> np.ndarray:
         """Largest eigenvalue of D^2 log f_t(x) = -D^2 V_t(x) pointwise."""

@@ -31,6 +31,13 @@ TRANSPORT_CFG = {
 GAUSSIAN_4D = {"family": "gaussian", "params": {"rho": 1.0, "dim": 4}}
 
 
+def samples_columns(out):
+    """samples.csv as {column name: values}."""
+    lines = [l for l in (out / "samples.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    return dict(zip(lines[0].split(","), np.loadtxt(lines[1:], delimiter=",", ndmin=2).T))
+
+
 def test_transport_outputs(tmp_path):
     cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG)
     out = tmp_path / "out"
@@ -213,6 +220,32 @@ def test_transport_all_samples_failed_writes_summary(tmp_path):
     assert summary["pass"] is False
     assert summary["error_bound"] == 0.0 and summary["certified"] is False
     assert summary["ks"] is None and summary["empirical_lipschitz"] is None
+    # each failed row came back at its input, so it carries no bound
+    assert np.all(np.isnan(samples_columns(out)["error_bound"]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transport_certified_only_in_one_dim(tmp_path, dim):
+    # in dims >= 2 the quadrature error, which nothing bounds, dominates the
+    # truncation term, so a run there reports no bound and no certificate
+    pot = {"family": "bump", "params": {"radius": 0.5, "height": 0.5, "dim": dim}}
+    cfg = write_cfg(tmp_path / "job.json", {
+        "command": "transport", "potential": pot,
+        "scheme": {"node_count": 12}, "flow": {"t_max": 6.0, "n_steps": 30},
+        "samples": 20, "seed": 3,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    column = samples_columns(out)["error_bound"]
+    if dim == 1:
+        bound = np.exp(-6.0) * hf.bump(0.0, 0.5, 0.5).grad_sup_norm
+        assert summary["certified"] is True
+        assert summary["error_bound"] == pytest.approx(bound, rel=1e-12)
+        assert np.all(column == summary["error_bound"])
+    else:
+        assert summary["certified"] is False and summary["error_bound"] is None
+        assert np.all(np.isnan(column))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -235,6 +268,26 @@ def test_verify_wrong_declared_curvature_fails(tmp_path):
     assert_one_pass_rule(rep)
     failed = [c for c in rep["checks"] if not c["pass"]]
     assert any("curvature_budget" in c["name"] for c in failed)
+
+
+@pytest.mark.parametrize("declared", [None, 0.3])
+def test_verify_table_declares_no_curvature_unless_told(tmp_path, declared):
+    # a table of the concave V = -0.3 x^2 / 2 declares no curvature bound,
+    # so it has no curvature budget to miss; declaring lam = 0.3 brings
+    # the three budget checks back (they fail by 1-3%: a Gaussian meets
+    # its budget with equality, and the table's knots add curvature)
+    xs = np.linspace(-6.0, 6.0, 121)
+    job = {"table": {"grid": xs.tolist(), "values": (-0.15 * xs**2).tolist()}}
+    if declared is not None:
+        job["curvature_lower"] = declared
+    cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "jobs": [job]})
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"])
+    assert code == (0 if declared is None else 1)
+    rep = json.loads((out / "report.json").read_text())
+    assert_one_pass_rule(rep)
+    budgets = [c for c in rep["checks"] if c["name"].startswith("curvature_budget")]
+    assert len(budgets) == (0 if declared is None else 3)
 
 
 def test_verify_empty_jobs(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -99,12 +100,16 @@ def test_forward_grid_hits_both_ends_and_is_monotone(flow_const, t0, t1, n):
 
 @pytest.mark.parametrize("t_max,n", [(8.0, 7), (10.0, 200), (12.0, 600)])
 def test_transport_grid_hits_both_ends_and_is_monotone(monkeypatch, std_bump, t_max, n):
+    # the grid runs in the angle theta, e^{-t} = cos theta, uniformly from
+    # theta(t_max) to 0 exactly
     fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
     grid = fi._grid(fi.t_max, 0.0)
-    assert grid.size == n + 1 and grid[0] == t_max and grid[-1] == 0.0
+    assert grid.size == n + 1 and grid[-1] == 0.0
+    assert np.cos(grid[0]) == pytest.approx(np.exp(-t_max), rel=1e-12)
     assert np.all(np.diff(grid) < 0)
-    # every stage of transport_batch is a grid time or a midpoint, and the
-    # last one lands on t = 0 exactly
+    assert np.max(np.abs(np.diff(grid) + grid[0] / n)) <= 1e-14
+    # every stage of transport_batch is at a grid angle or a midpoint, and
+    # none runs at t = 0, where the theta-field vanishes
     times = []
     inner = hf.SemigroupEvaluator.drift_and_hess_vt
 
@@ -114,21 +119,24 @@ def test_transport_grid_hits_both_ends_and_is_monotone(monkeypatch, std_bump, t_
 
     monkeypatch.setattr(hf.SemigroupEvaluator, "drift_and_hess_vt", recording)
     fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
-    assert times[0] == t_max and times[-1] == 0.0
-    assert times[1] == 0.5 * (grid[0] + grid[1])
+    assert len(times) == 4 * n - 1 and min(times) > 0.0
+    assert times[0] == pytest.approx(t_max, rel=1e-9)
+    assert times[1] == flow._time(0.5 * (grid[0] + grid[1]))
+    assert times[-1] == flow._time(0.5 * grid[-2])
 
 
 @pytest.mark.parametrize("kwargs", [{"n_steps": 0}, {"n_steps": -3}, {"t_max": -5.0},
                                     {"t_max": np.inf}, {"t_max": np.nan}])
 def test_flow_rejects_bad_grid(flow_const, kwargs):
-    # a one-point grid would map every sample to itself, and t_max < 0 puts
-    # log1p of a negative time on the grid
+    # a one-point grid would map every sample to itself, and t_max < 0 has
+    # no angle theta
     with pytest.raises(ValueError):
         hf.FlowIntegrator(flow_const.evaluator, **kwargs)
 
 
-def test_gaussian_map_error_fourth_order_on_graded_grid(gaussian_one):
-    # the inverse transport of gaussian(1) is y / sqrt(1 + (1 - e^{-2 t_max}))
+def test_gaussian_map_error_fourth_order_in_theta(gaussian_one):
+    # the inverse transport of gaussian(1) is y / sqrt(1 + (1 - e^{-2 t_max})),
+    # and RK4 in theta reaches it at fourth order
     ys = np.linspace(-2.5, 2.5, 41)
     want = ys / np.sqrt(2.0 - np.exp(-24.0))
     errs = []
@@ -138,6 +146,85 @@ def test_gaussian_map_error_fourth_order_on_graded_grid(gaussian_one):
         assert not failed.any()
         errs.append(np.max(np.abs(z[:, 0] - want)))
     assert errs[0] / errs[1] >= 10.0 and errs[1] / errs[2] >= 10.0
+
+
+def test_gaussian_2d_map_and_jacobian_at_twenty_steps():
+    # gaussian(1) in 2-d maps y to y / sqrt(2) with Jacobian Id / sqrt(2)
+    # (up to e^{-24} at t_max 12); the theta grid reaches both within 1e-6
+    # at 20 steps
+    p = hf.normalize(hf.gaussian(1.0, dim=2))
+    fi = make_flow(p, t_max=12.0, n_steps=20, nodes=24)
+    ys = np.random.default_rng(0).standard_normal((64, 2))
+    z, J, failed = fi.transport_batch(ys, with_jacobian=True)
+    assert not failed.any()
+    assert np.max(np.abs(z - ys / np.sqrt(2.0))) <= 1e-6
+    assert np.max(np.abs(J - np.eye(2) / np.sqrt(2.0))) <= 1e-6
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_theta_field_is_tan_theta_times_the_t_field(monkeypatch, with_jacobian):
+    p = hf.normalize(hf.bump(0.3, 0.6, 0.5))
+    fi = make_flow(p, nodes=32)
+    ev = fi.evaluator
+    z = np.linspace(-2.0, 2.0, 5)[:, None]
+    J = np.linspace(0.5, 1.5, 5)[:, None, None] if with_jacobian else None
+    for theta in (1e-3, 0.1, 0.8, 1.5):
+        t = float(-np.log(np.cos(theta)))
+        a, (dz, dJ) = fi._field((z, J), float(flow._time(theta)))
+        assert a == pytest.approx(np.tan(theta), rel=1e-12)
+        if with_jacobian:
+            drift, H = ev.drift_and_hess_vt(z, t)
+            assert np.allclose(a * dJ, np.tan(theta) * H @ J, rtol=1e-9, atol=0.0)
+        else:
+            drift = ev.drift(z, t)
+            assert dJ is None
+        assert np.allclose(a * dz, np.tan(theta) * drift, rtol=1e-9, atol=0.0)
+
+    # at theta = 0 the field vanishes, and no pass is made
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass at t = 0")
+
+    for view in ("drift", "drift_and_hess_vt"):
+        monkeypatch.setattr(hf.SemigroupEvaluator, view, no_pass)
+    assert fi._field((z, J), 0.0) == (0.0, None)
+
+
+def test_jacobian_transport_never_calls_the_potential_hessian():
+    # every stage samples V and grad V at the nodes only; with V's own
+    # Hessian refused, the Jacobian run is bit for bit the same
+    p = hf.normalize(hf.bump(0.0, 0.5, 0.5))
+
+    def refused(x):
+        raise AssertionError("Potential.hess called")
+
+    ys = np.linspace(-2.5, 2.5, 9)[:, None]
+    want = make_flow(p, t_max=10.0, n_steps=40, nodes=64).transport_batch(
+        ys, with_jacobian=True)
+    got = make_flow(dataclasses.replace(p, hess_fn=refused), t_max=10.0, n_steps=40,
+                    nodes=64).transport_batch(ys, with_jacobian=True)
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
+def test_theta_field_obeys_the_drift_bound(monkeypatch, std_bump):
+    # |dS/dtheta| = tan theta |grad V_t| <= sin theta sup|grad V| at every
+    # stage (positive weights), to rounding
+    g = std_bump.grad_sup_norm
+    fi = make_flow(std_bump, t_max=12.0, n_steps=60, nodes=64)
+    ratios = []
+    inner = flow.FlowIntegrator._field
+
+    def checking(self, y, t):
+        a, k = inner(self, y, t)
+        if k is not None:
+            sup = np.max(np.abs(a * k[0]))
+            ratios.append(sup / (np.sqrt(-np.expm1(-2.0 * t)) * g))
+        return a, k
+
+    monkeypatch.setattr(flow.FlowIntegrator, "_field", checking)
+    fi.transport_batch(np.linspace(-4.0, 4.0, 33)[:, None], with_jacobian=True)
+    assert len(ratios) == 4 * 60 - 1
+    assert max(ratios) <= 1.0 + 1e-12
 
 
 def count_passes(monkeypatch):
@@ -155,9 +242,8 @@ def count_passes(monkeypatch):
 
 def _jacobian_runs():
     # (t_max, n_steps) of every shipped transport config with the Jacobian
-    # on, the acceptance gate's Jacobian run (criterion 11), and step
-    # counts on both sides of 1284, from which the last step's midpoints
-    # lie below 1e-3 at t_max 12
+    # on, the acceptance gate's Jacobian run (criterion 11), and long runs
+    # at t_max 12
     runs = {"criterion_11": (8.0, 100)}
     runs |= {f"t_max_12_n_{n}": (12.0, n) for n in (1283, 1284, 1500, 3000)}
     for path in sorted(CONFIGS.glob("transport_*.json")):
@@ -169,18 +255,18 @@ def _jacobian_runs():
 
 @pytest.mark.parametrize("run", sorted(_jacobian_runs()))
 def test_jacobian_run_makes_one_pass_per_stage(monkeypatch, std_bump, run):
-    # every stage is a single drift_and_hess_vt pass at the stage time
+    # every stage is a single drift_and_hess_vt pass at the stage time,
+    # except the last one, at theta = 0, where the field vanishes
     t_max, n = _jacobian_runs()[run]
     fi = make_flow(std_bump, t_max=t_max, n_steps=n, nodes=8)
     calls = count_passes(monkeypatch)
     fi.transport_batch(np.array([[0.3]]), with_jacobian=True)
-    assert calls == {"drift": 0, "drift_and_hess_vt": 4 * n}
+    assert calls == {"drift": 0, "drift_and_hess_vt": 4 * n - 1}
 
 
 def test_jacobian_matches_rearrangement_derivative(std_bump):
     # in 1-d the map is the monotone rearrangement T, whose derivative is
-    # T'(y) = phi(y) / rho(T(y)); at 1500 steps the last step's midpoints
-    # lie below 1e-3, and the Jacobian still converges there
+    # T'(y) = phi(y) / rho(T(y))
     fi = make_flow(std_bump, t_max=12.0, n_steps=1500, nodes=64)
     ys = np.linspace(-2.5, 2.5, 41)
     J, _ = fi.jacobian_along_flow(ys[:, None])
@@ -613,3 +699,8 @@ def test_trajectory_and_map_tables(std_bump):
     table = map_table(ps)
     assert len(table) == 5
     assert set(table[0]) == {"input", "output", "jacobian_norm", "error_bound"}
+    # a failed row comes back at its input, so it carries no bound
+    failed = dataclasses.replace(ps, failed_indices=np.array([1]))
+    assert [r["error_bound"] for r in map_table(failed)] == [
+        ps.error_bound, None, ps.error_bound, ps.error_bound, ps.error_bound]
+    assert ps.error_bound is not None

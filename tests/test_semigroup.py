@@ -42,21 +42,15 @@ def ev_const(gh_scheme):
 
 
 def test_constant_density_is_fixed_point(ev_const):
-    for t in (0.0, 0.3, 2.0, 10.0):
+    for t in (0.3, 2.0, 10.0):
         assert np.exp(ev_const.log_pt_f(np.array([[1.7]]), t)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linear_integrand_eigenfunction(gh_scheme):
     # E[(e^{-t} x + s Z)] = e^{-t} x: the identity decays at rate e^{-t}
-    for t in (0.0, 0.4, 1.5):
+    for t in (0.4, 1.5):
         val = ou_expectation(lambda p: p[..., 0], np.array([[2.0]]), t, gh_scheme)
         assert val[0] == pytest.approx(2.0 * np.exp(-t), abs=1e-12)
-
-
-def test_pt_f_at_zero_time_is_exact(std_bump, gh_scheme):
-    ev = hf.SemigroupEvaluator(std_bump, gh_scheme)
-    x = np.array([[0.37]])
-    assert np.array_equal(np.exp(ev.log_pt_f(x, 0.0)), std_bump.density(x))
 
 
 # -- Gaussian closed forms -----------------------------------------------------------
@@ -109,9 +103,21 @@ def test_hessian_routes_agree_on_bump(bump_evaluator):
     assert np.max(np.abs(cm - hm)) < 1e-6
 
 
-def test_hermite_route_needs_positive_time(bump_evaluator):
-    with pytest.raises(ValueError, match="hermite route requires t > 0"):
-        bump_evaluator.hess_pt_f(np.array([[0.0]]), 0.0, route="hermite")
+def test_every_view_refuses_nonpositive_time(bump_evaluator, gh_scheme):
+    # t = 0 has no pass (the flow never asks for it), and a negative or NaN
+    # time is no time at all
+    x = np.array([[0.3]])
+    calls = [lambda t, view=view: getattr(bump_evaluator, view)(x, t)
+             for view in VIEWS]
+    calls += [lambda t, route=route: bump_evaluator.hess_pt_f(x, t, route=route)
+              for route in ("commute", "hermite")]
+    calls += [lambda t: bump_evaluator._moments(x, t),
+              lambda t: ou_expectation(lambda p: p[..., 0], x, t, gh_scheme),
+              lambda t: concavity_profile(bump_evaluator, x, t)]
+    for call in calls:
+        for t in (0.0, -0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="time must be > 0"):
+                call(t)
 
 
 def test_hermite_zero_matrix_for_constant(ev_const):
@@ -158,7 +164,7 @@ def test_drift_underflow_raises(gh_scheme):
         ev.drift(np.array([[40.0]]), 0.001)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.01])
+@pytest.mark.parametrize("t", [1e-6, 0.01])
 def test_zero_density_row_raises_with_its_index(walled_gaussian, gh_scheme, t):
     # V is +inf at every node of the row at -50, so log f_t is NaN there:
     # it must count as below the floor, and without a numpy warning first
@@ -189,16 +195,15 @@ def recording(p):
 def test_blocked_pass_matches_row_by_row(std_bump):
     p, seen = recording(std_bump)
     ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=128))
-    # rows per block at t > 0, from the nodes the pass keeps: the batch
-    # spans two and a half blocks
+    # rows per block, from the nodes the pass keeps: the batch spans two
+    # and a half blocks
     step = semigroup.BLOCK_BYTES // (8 * ev._logw.size * 5)
     xs = np.linspace(-4.0, 4.0, 2 * step + step // 2)[:, None]
-    for t in (0.0, 0.05, 1.3):
+    for t in (0.05, 1.3):
         seen.clear()
         drift, hess = ev.drift_and_hess_vt(xs, t)
-        # at t = 0 each row is its own single node, so one block holds all
         blocks = [kind for kind, _ in seen if kind == "value_grad"]
-        assert len(blocks) >= (3 if t > 0 else 1)
+        assert len(blocks) >= 3
         log_f = ev.log_pt_f(xs, t)
         grad_f = ev.grad_pt_f(xs, t)
         hess_f = ev.hess_pt_f(xs, t, route="commute")
@@ -220,7 +225,7 @@ MULTIDIM_POTENTIALS = {
 @pytest.mark.parametrize("family", sorted(MULTIDIM_POTENTIALS))
 @pytest.mark.parametrize("dim, node_count", [(2, 10), (3, 6)])
 def test_blocked_pass_matches_row_by_row_multidim(monkeypatch, family, dim, node_count):
-    # 4 rows a block at t > 0: 23 rows make blocks of 4, 4, 4, 4, 4 and 3,
+    # 4 rows a block: 23 rows make blocks of 4, 4, 4, 4, 4 and 3,
     # and the 5 rows put in front move every row to another block position
     k = node_count ** dim
     monkeypatch.setattr(semigroup, "BLOCK_BYTES", 8 * k * (2 * dim + 3) * 4)
@@ -229,12 +234,11 @@ def test_blocked_pass_matches_row_by_row_multidim(monkeypatch, family, dim, node
     r = np.random.default_rng(dim)
     xs = 1.5 * r.standard_normal((23, dim))
     shifted = np.concatenate([r.standard_normal((5, dim)), xs])
-    for t in (0.0, 0.05, 1.3):
+    for t in (0.05, 1.3):
         seen.clear()
         drift = ev.drift(xs, t)
         blocks = [x.shape[0] for kind, x in seen if kind in ("value", "value_grad")]
-        if t > 0:
-            assert blocks == [4, 4, 4, 4, 4, 3]
+        assert blocks == [4, 4, 4, 4, 4, 3]
         dh_drift, dh_hess = ev.drift_and_hess_vt(xs, t)
         hess_f = ev.hess_pt_f(xs, t, route="commute")
         s_drift = ev.drift(shifted, t)[5:]
