@@ -226,6 +226,8 @@ def run_bound(cfg: dict, out: Path, quick: bool) -> int:
         raise ValueError("bound command needs 'lambda'")
     lam = float(json_number(cfg, "lambda"))
     c = float(json_number(cfg, "c", 0.0))
+    if lam < 0.0 or c < 0.0:
+        raise ValueError(f"bound command needs lambda >= 0 and c >= 0, got {lam!r}, {c!r}")
     payload: dict = {"command": "bound", "lambda": lam, "c": c,
                      "provenance": _provenance(cfg)}
     if lam < 1.0:

@@ -17,9 +17,10 @@ theta = 0 makes none.  Backward runs negate the step.  Points come as
 (N, dim) batches only; a (dim,) array raises ValueError.
 
 Rows of a batch never interact, so `pushforward_samples` cuts its rows
-into spans of at most MAX_SPAN_ROWS rows and maps them on every CPU the
-process may use (forked worker processes); the outputs do not depend on
-the span sizes or the worker count.
+into spans of at most MAX_SPAN_ROWS rows, their count a multiple of the
+CPUs the process may use, and maps them on those CPUs (forked worker
+processes); the outputs do not depend on the span sizes or the worker
+count.
 """
 
 from __future__ import annotations
@@ -296,21 +297,23 @@ class FlowIntegrator:
         """Map `count` gamma-samples drawn from `seed` through the transport.
 
         The rows are cut into contiguous spans of about equal size, at most
-        MAX_SPAN_ROWS rows each and at least one span per CPU in the
-        process's affinity mask (while rows last).  Each span is one
-        transport_batch call, run in one of min(CPUs, spans) worker
-        processes started with "fork", which inherit the integrator and
-        inputs; only span bounds and results cross the pipe.  The spans run
-        in this process instead when one CPU is available, the "fork" start
-        method is not, or this process is a daemon.  Rows never interact,
-        so the result is deterministic for fixed (count, seed) and
-        independent of the span sizes and of the worker count, bit for
-        bit.  Per-sample failures are flagged by index, never dropped; a
-        worker that dies raises HeatflowError.  The run is certified only
-        in dim 1, with a truncation bound and no failed sample: a failed
-        sample comes back at its input, not within the bound of T(y).  In
-        dims >= 2 the quadrature error, which nothing bounds, dominates the
-        truncation term (2-d bump, 24^2 nodes: 7.5e-6 against 2.7e-3).
+        MAX_SPAN_ROWS rows each.  The span count is the least multiple of
+        the CPU count in the process's affinity mask that allows this, so
+        every worker maps about as many rows, but never more than `count`.
+        Each span is one transport_batch call, run in one of
+        min(CPUs, spans) worker processes started with "fork", which
+        inherit the integrator and inputs; only span bounds and results
+        cross the pipe.  The spans run in this process instead when one CPU
+        is available, the "fork" start method is not, or this process is a
+        daemon.  Rows never interact, so the result is deterministic for
+        fixed (count, seed) and independent of the span sizes and of the
+        worker count, bit for bit.  Per-sample failures are flagged by
+        index, never dropped; a worker that dies raises HeatflowError.  The
+        run is certified only in dim 1, with a truncation bound and no
+        failed sample: a failed sample comes back at its input, not within
+        the bound of T(y).  In dims >= 2 the quadrature error, which nothing
+        bounds, dominates the truncation term (2-d bump, 24^2 nodes: 7.5e-6
+        against 2.7e-3).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -321,7 +324,10 @@ class FlowIntegrator:
         norms = np.empty(count) if with_jacobian else None
         failed = np.zeros(count, dtype=bool)
         workers = _worker_count()
-        n_spans = min(count, max(-(-count // MAX_SPAN_ROWS), workers))
+        # ceil(count / MAX_SPAN_ROWS) spans, rounded up to a multiple of the
+        # worker count so that every worker maps the same number of rows
+        n_spans = -(-count // MAX_SPAN_ROWS)
+        n_spans = min(count, -(-n_spans // workers) * workers)
         edges = [count * i // n_spans for i in range(n_spans + 1)]
         spans = list(zip(edges[:-1], edges[1:]))
         with _span_map((self, inputs, with_jacobian), min(workers, n_spans)) as span_map:

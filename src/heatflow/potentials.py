@@ -68,7 +68,7 @@ class Potential:
     metadata validated on grids, not enforced at evaluation time.  The
     semigroup pass reads the oscillation to skip the quadrature nodes that
     cannot reach its sums (see SemigroupEvaluator), so an understated one
-    costs accuracy there, and a negative one is refused.
+    costs accuracy there.
     norm_tol and norm_converged record the mass estimate of `normalize`
     (None until it runs, and norm_converged None under Monte Carlo).
     Instances are immutable and all evaluations are pure, so they are safe
@@ -290,10 +290,6 @@ def gaussian(rho: float, dim: int = 1) -> Potential:
         grad_sup_norm=(0.0 if rho == 0.0 else None),
         name=f"gaussian(rho={rho})",
     )
-
-
-def constant(dim: int = 1) -> Potential:
-    return dataclasses.replace(gaussian(0.0, dim), name="constant", normalized=True)
 
 
 def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
@@ -735,16 +731,11 @@ def json_flag(cfg: dict, key: str, default: bool) -> bool:
 
 _FAMILIES = {
     "gaussian": gaussian,
-    "constant": constant,
     "bump": bump,
     "linear_tail": linear_tail,
     "vt_counterexample": vt_counterexample,
     "sharpness": sharpness,
 }
-_METADATA_KEYS = ("curvature_lower", "oscillation", "grad_sup_norm")
-# each transform op's number keys, besides "op"
-_TRANSFORM_KEYS = {"mollify": ("sigma",),
-                   "lipschitz_regularize": ("l", "r")}
 
 
 def from_family(tag: str, params: dict | None = None) -> Potential:
@@ -757,19 +748,18 @@ def from_family(tag: str, params: dict | None = None) -> Potential:
 
 
 def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
-    """Build a potential from a JSON-style description.
+    """Build a normalized potential from a JSON-style description.
 
     {"family": name, "params": {...}} or {"table": {"grid": [...], "values": [...]}},
-    with optional metadata overrides (curvature_lower, oscillation,
-    grad_sup_norm), an optional "transforms" list applied in order
-    ({"op": "mollify", "sigma": s} | {"op": "lipschitz_regularize", "l": .., "r": ..}),
-    and "normalize": false to skip the final normalization.  A key outside
-    this schema, at any level, raises ValueError, as does a parameter or
-    number that is not a JSON number, or a negative metadata override.
+    with an optional "transforms" list applied in order
+    ([{"op": "lipschitz_regularize", "l": .., "r": ..}]), then normalized.
+    The family or transform supplies the curvature, oscillation and gradient
+    bounds; a table declares none.  A key outside this schema, at any level,
+    raises ValueError, as does a parameter or number that is not a JSON
+    number.
     """
     source = ("family", "params") if "family" in cfg else ("table",)
-    check_keys(cfg, source + _METADATA_KEYS + ("transforms", "normalize"),
-               "potential config")
+    check_keys(cfg, source + ("transforms",), "potential config")
     if "family" in cfg:
         params = cfg.get("params", {})
         if not isinstance(params, dict):
@@ -785,30 +775,14 @@ def from_config(cfg: dict, scheme: QuadratureScheme | None = None) -> Potential:
     else:
         raise ValueError("potential config needs 'family' or 'table'")
 
-    overrides = {key: json_number(cfg, key) for key in _METADATA_KEYS if key in cfg}
-    for key, v in overrides.items():
-        # a negative bound would certify falsely, and a negative oscillation
-        # would drop nodes that the semigroup pass needs
-        if isinstance(v, list) or v < 0:
-            raise ValueError(f"{key!r} must be a number >= 0, got {v!r}")
-    if overrides:
-        pot = dataclasses.replace(pot, **overrides)
-
     transforms = cfg.get("transforms", [])
     if not isinstance(transforms, list):
         raise ValueError(f"transforms must be a JSON list, got {transforms!r}")
     for tr in transforms:
         op = tr.get("op") if isinstance(tr, dict) else None
-        if op not in _TRANSFORM_KEYS:
+        if op != "lipschitz_regularize":
             raise ValueError(f"unknown transform {op!r}")
-        check_keys(tr, ("op",) + _TRANSFORM_KEYS[op], f"{op} transform")
-        for key in tr.keys() - {"op"}:
-            json_number(tr, key)
-        if op == "mollify":
-            pot = mollify(pot, float(tr["sigma"]))
-        else:
-            pot = lipschitz_regularize(pot, float(tr["l"]), float(tr["r"]))
-
-    if json_flag(cfg, "normalize", True):
-        pot = normalize(pot, scheme)
-    return pot
+        check_keys(tr, ("op", "l", "r"), f"{op} transform")
+        pot = lipschitz_regularize(pot, float(json_number(tr, "l")),
+                                   float(json_number(tr, "r")))
+    return normalize(pot, scheme)

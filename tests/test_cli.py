@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import heatflow as hf
-from heatflow import cli
+from heatflow import cli, potentials, semigroup
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
@@ -172,7 +173,6 @@ def test_transport_2d_job(tmp_path):
     # the regularized linear tail's mass estimate stops at the node cap
     ({"family": "linear_tail",
       "transforms": [{"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}]}, False),
-    (TRANSPORT_CFG["potential"] | {"normalize": False}, None),
 ])
 def test_transport_summary_reports_normalization(tmp_path, potential, converged):
     cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
@@ -181,11 +181,7 @@ def test_transport_summary_reports_normalization(tmp_path, potential, converged)
     assert cli.main(["transport", "--config", cfg, "--out", str(out), "--quick"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["norm_converged"] is converged
-    if converged is None:
-        assert summary["norm_tol"] is None
-    else:
-        tol = hf.quadrature.ADAPTIVE_REL_TOL
-        assert (summary["norm_tol"] < tol) is converged
+    assert (summary["norm_tol"] < hf.quadrature.ADAPTIVE_REL_TOL) is converged
 
 
 def test_transport_single_sample_writes_summary(tmp_path):
@@ -204,13 +200,13 @@ def test_transport_single_sample_writes_summary(tmp_path):
     assert summary["lipschitz_within_theorem"] is None
 
 
-def test_transport_all_samples_failed_writes_summary(tmp_path):
-    # e^{-800} is below the density floor everywhere, so every row fails;
-    # a declared gradient bound gives a truncation bound, but a failed
-    # sample is not within it, so the run is not certified
+def test_transport_all_samples_failed_writes_summary(tmp_path, monkeypatch):
+    # a density floor above every density makes every row fail (the forked
+    # workers inherit it); the bump's gradient bound gives a truncation
+    # bound, but a failed sample is not within it, so the run is not certified
+    monkeypatch.setattr(semigroup, "DENSITY_FLOOR", 1e300)
     cfg = write_cfg(tmp_path / "job.json", TRANSPORT_CFG | {
-        "potential": {"table": {"grid": [-1.0, 1.0], "values": [800.0, 800.0]},
-                      "normalize": False, "grad_sup_norm": 0.0},
+        "potential": {"family": "bump", "params": {"radius": 0.5, "height": 0.5}},
         "samples": 5,
     })
     out = tmp_path / "out"
@@ -218,7 +214,9 @@ def test_transport_all_samples_failed_writes_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed_samples"] == [0, 1, 2, 3, 4]
     assert summary["pass"] is False
-    assert summary["error_bound"] == 0.0 and summary["certified"] is False
+    bound = np.exp(-TRANSPORT_CFG["flow"]["t_max"]) * hf.bump(0.0, 0.5, 0.5).grad_sup_norm
+    assert summary["error_bound"] == pytest.approx(bound, rel=1e-12)
+    assert summary["certified"] is False
     assert summary["ks"] is None and summary["empirical_lipschitz"] is None
     # each failed row came back at its input, so it carries no bound
     assert np.all(np.isnan(samples_columns(out)["error_bound"]))
@@ -256,11 +254,14 @@ def test_cli_defaults_are_the_library_defaults(dim):
     assert cli._scheme_from({}, dim, False) == hf.QuadratureScheme(dim=dim)
 
 
-def test_verify_wrong_declared_curvature_fails(tmp_path):
+def test_verify_wrong_declared_curvature_fails(tmp_path, monkeypatch):
+    # a family whose declared curvature deficit (0.1) understates the true
+    # one (0.9) misses its curvature budget
+    monkeypatch.setitem(potentials._FAMILIES, "understated_gaussian",
+                        lambda rho: dataclasses.replace(hf.gaussian(rho), curvature_lower=0.1))
     cfg = write_cfg(tmp_path / "v.json", {
         "command": "verify",
-        "jobs": [{"family": "gaussian", "params": {"rho": -0.9},
-                  "curvature_lower": 0.1}],
+        "jobs": [{"family": "understated_gaussian", "params": {"rho": -0.9}}],
     })
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 1
@@ -270,24 +271,17 @@ def test_verify_wrong_declared_curvature_fails(tmp_path):
     assert any("curvature_budget" in c["name"] for c in failed)
 
 
-@pytest.mark.parametrize("declared", [None, 0.3])
-def test_verify_table_declares_no_curvature_unless_told(tmp_path, declared):
+def test_verify_table_has_no_curvature_budget(tmp_path):
     # a table of the concave V = -0.3 x^2 / 2 declares no curvature bound,
-    # so it has no curvature budget to miss; declaring lam = 0.3 brings
-    # the three budget checks back (they fail by 1-3%: a Gaussian meets
-    # its budget with equality, and the table's knots add curvature)
+    # so it has no curvature budget to miss
     xs = np.linspace(-6.0, 6.0, 121)
     job = {"table": {"grid": xs.tolist(), "values": (-0.15 * xs**2).tolist()}}
-    if declared is not None:
-        job["curvature_lower"] = declared
     cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "jobs": [job]})
     out = tmp_path / "out"
-    code = cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"])
-    assert code == (0 if declared is None else 1)
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quick"]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert_one_pass_rule(rep)
-    budgets = [c for c in rep["checks"] if c["name"].startswith("curvature_budget")]
-    assert len(budgets) == (0 if declared is None else 3)
+    assert not [c for c in rep["checks"] if c["name"].startswith("curvature_budget")]
 
 
 def test_verify_empty_jobs(tmp_path, capsys):
@@ -505,14 +499,16 @@ def test_invalid_counterexample_params_config_error(tmp_path):
 
 GAUSSIAN = {"family": "gaussian", "params": {"rho": 1.0}}
 
-# bad input of every kind exits 2: values out of range, a dimension above
-# the Gauss-Hermite cap without a sample count, a scheme key the
-# dimension's rule does not read, a malformed verify job, unknown or retired
-# keys, a string where a flag or a number belongs, the NaN literal
-# json.load accepts, a negative Lipschitz constant, and params or
-# transforms of the wrong JSON type
+# bad input of every kind exits 2 and writes no output: values out of
+# range, a dimension above the Gauss-Hermite cap without a sample count, a
+# scheme key the dimension's rule does not read, a malformed verify job,
+# unknown or retired keys, a string where a flag or a number belongs, the
+# NaN literal json.load accepts, a negative Lipschitz constant, and params
+# or transforms of the wrong JSON type
 CONFIG_ERRORS = {
     "bound_negative_c": {"command": "bound", "lambda": 2.0, "c": -1.0},
+    "bound_negative_lambda": {"command": "bound", "lambda": -5.0},
+    "bound_negative_c_below_one": {"command": "bound", "lambda": 0.5, "c": -1.0},
     "profile_negative_c": {"command": "profile", "lambda": 2.0, "c": -0.5},
     "gauss_hermite_4d": {
         "command": "transport", "samples": 3,
@@ -542,7 +538,8 @@ CONFIG_ERRORS = {
                          ("false", False), ("null", None))},
     **{f"transforms_{name}": {"command": "transport", "samples": 3,
                               "potential": {"family": "bump", "transforms": bad}}
-       for name, bad in (("empty_object", {}), ("one_op", {"op": "mollify", "sigma": 0.5}))},
+       for name, bad in (("empty_object", {}),
+                         ("one_op", {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0}))},
     **{f"envelope_{name}": {
         "command": "transport", "samples": 3,
         "potential": {"family": "linear_tail", "transforms": [
@@ -559,16 +556,30 @@ CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("key", ["curvature_lower", "oscillation", "grad_sup_norm"])
-def test_negative_metadata_refused_before_any_output(key, tmp_path):
-    # a negative override is refused when the config is read, before the
-    # transport runs: it writes no samples.csv and no summary.json
-    cfg = write_cfg(tmp_path / "c.json", {
-        "command": "transport", "samples": 3,
-        "potential": {"family": "bump", "curvature_lower": 2.0, key: -3.0}})
+# what a potential config no longer accepts: the family or transform
+# supplies the metadata, from_config always normalizes, the mollify op has
+# no config, and "constant" was gaussian with rho = 0
+RETIRED = {
+    **{key: {"family": "bump", key: value}
+       for key, value in (("curvature_lower", 2.0), ("oscillation", 0.5),
+                          ("grad_sup_norm", 1e-9), ("normalize", False))},
+    "op_mollify": {"family": "linear_tail", "transforms": [{"op": "mollify", "sigma": 0.5}]},
+    "family_constant": {"family": "constant"},
+}
+
+
+@pytest.mark.parametrize("command", ["transport", "verify"])
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_keys_refused_before_any_output(name, command, tmp_path, capsys):
+    # refused when the config is read, before any job runs or writes
+    job = ({"potential": RETIRED[name], "samples": 3} if command == "transport"
+           else {"jobs": [RETIRED[name]]})
+    cfg = write_cfg(tmp_path / "c.json", {"command": command} | job)
     out = tmp_path / "out"
-    assert cli.main(["transport", "--config", cfg, "--out", str(out), "--quick"]) == 2
-    assert not (out / "samples.csv").exists() and not (out / "summary.json").exists()
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quick"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("name", CONFIG_ERRORS)
@@ -578,6 +589,7 @@ def test_config_error_exit_code(name, tmp_path, capsys):
     assert cli.main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
@@ -653,7 +665,7 @@ def test_example_config_quick_runs_byte_identical(cfg, tmp_path):
 # pinned to one CPU, so the spans run in this process and its faults count
 FAULT_PROBE = """
 import os, resource, sys
-from heatflow import cli
+from heatflow import cli, potentials, semigroup
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

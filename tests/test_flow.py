@@ -29,7 +29,7 @@ def flow_one(gaussian_one):
 
 @pytest.fixture(scope="module")
 def flow_const():
-    return make_flow(hf.potentials.constant())
+    return make_flow(hf.gaussian(0.0))
 
 
 # -- trivial cases -------------------------------------------------------------
@@ -267,7 +267,8 @@ def test_jacobian_run_makes_one_pass_per_stage(monkeypatch, std_bump, run):
 def test_jacobian_matches_rearrangement_derivative(std_bump):
     # in 1-d the map is the monotone rearrangement T, whose derivative is
     # T'(y) = phi(y) / rho(T(y))
-    fi = make_flow(std_bump, t_max=12.0, n_steps=1500, nodes=64)
+    # the error reaches its quadrature floor (9.3e-8) by 80 steps
+    fi = make_flow(std_bump, t_max=12.0, n_steps=80, nodes=64)
     ys = np.linspace(-2.5, 2.5, 41)
     J, _ = fi.jacobian_along_flow(ys[:, None])
     z = rearrangement_map(std_bump, ys)
@@ -406,6 +407,34 @@ def test_spans_contiguous_at_most_chunk_about_equal(monkeypatch, std_bump, paren
     fi.pushforward_samples(500, seed=9, with_jacobian=False)
     assert sum(parent_calls) == 500
     assert max(parent_calls) <= 77 and max(parent_calls) - min(parent_calls) <= 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_spans_balanced_across_workers(monkeypatch, std_bump, parent_calls, workers):
+    # the span count is a multiple of the worker count, so no worker maps
+    # more rows than another; the spans run here, so that they are counted
+    inner = flow._span_map
+    pool_sizes = []
+
+    def in_process(job, n):
+        pool_sizes.append(n)
+        return inner(job, 1)
+
+    monkeypatch.setattr(flow, "_worker_count", lambda: workers)
+    monkeypatch.setattr(flow, "_span_map", in_process)
+    fi = make_flow(std_bump, t_max=8.0, n_steps=4, nodes=8)
+    for chunk, count in ((77, 500), (77, 154), (8192, 300), (8192, 2)):
+        monkeypatch.setattr(flow, "MAX_SPAN_ROWS", chunk)
+        parent_calls.clear()
+        pool_sizes.clear()
+        fi.pushforward_samples(count, seed=9, with_jacobian=False)
+        assert sum(parent_calls) == count and max(parent_calls) <= chunk
+        assert max(parent_calls) - min(parent_calls) <= 1
+        n_spans = len(parent_calls)
+        assert n_spans % workers == 0 if count >= workers else n_spans == count
+        # the least such count: one round of spans fewer would overfill them
+        assert n_spans - workers < -(-count // chunk)
+        assert pool_sizes == [min(workers, n_spans)]
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
@@ -651,8 +680,10 @@ def test_pushforward_identity_for_constant(flow_const):
 
 
 def test_pushforward_gaussian_variance(gaussian_one):
-    fi = make_flow(gaussian_one, t_max=8.0, n_steps=150)
+    # 17 steps are the fewest that map every row to within 1e-6 of y/sqrt(2)
+    fi = make_flow(gaussian_one, t_max=8.0, n_steps=17)
     ps = fi.pushforward_samples(20_000, seed=42, with_jacobian=False)
+    assert np.max(np.abs(ps.outputs - ps.inputs / np.sqrt(2.0))) <= 1e-6
     assert ps.outputs.var() == pytest.approx(0.5, abs=0.01)
 
 

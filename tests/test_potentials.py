@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import heatflow as hf
-from heatflow import cli, potentials
+from heatflow import potentials
 from heatflow.errors import HeatflowError
 from heatflow.potentials import (
     EVAL_PAD,
@@ -271,46 +270,16 @@ def test_mollify_preserves_mass(std_bump):
     assert abs(lm) < 1e-10
 
 
-@pytest.mark.parametrize("node_count", [8, 64])
-def test_mollify_transform_ignores_the_transport_scheme(node_count):
-    # the target a config describes must not change with scheme.node_count
-    # (or with --quick, which lowers it)
-    cfg = {"family": "linear_tail", "transforms": [{"op": "mollify", "sigma": 0.5}],
-           "normalize": False}
-    got = hf.from_config(cfg, hf.QuadratureScheme(dim=1, node_count=node_count))
-    want = hf.mollify(hf.linear_tail(), 0.5)
-    xs = np.linspace(-6.0, 6.0, 49)[:, None]
-    assert np.array_equal(got.value(xs), want.value(xs))
-    assert np.array_equal(got.grad(xs), want.grad(xs))
-
-
 def test_mollify_refuses_dim_above_the_tensor_cap():
-    # also under a Monte Carlo transport scheme, which mollify does not use
-    cfg = {"family": "gaussian", "params": {"rho": 1.0, "dim": 4},
-           "transforms": [{"op": "mollify", "sigma": 0.5}]}
     with pytest.raises(ValueError, match="mollify's Gauss-Hermite rule is capped at dim 3"):
-        hf.from_config(cfg, hf.QuadratureScheme(dim=4, sample_count=1000))
+        hf.mollify(hf.gaussian(1.0, dim=4), 0.5)
 
 
-def test_mollify_declares_no_grad_bound(tmp_path):
+def test_mollify_declares_no_grad_bound():
     # |V'| of a mollified linear tail grows without bound, so no window sup
     # may stand in for sup |grad V| and certify a transport
     sm = hf.mollify(hf.normalize(hf.linear_tail()), 0.5)
     assert sm.grad_sup_norm is None
-    cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({
-        "command": "transport",
-        "potential": {"family": "linear_tail",
-                      "transforms": [{"op": "mollify", "sigma": 0.5}]},
-        "scheme": {"node_count": 16},
-        "flow": {"t_max": 4.0, "n_steps": 20},
-        "samples": 20,
-        "with_jacobian": False,
-    }))
-    out = tmp_path / "out"
-    assert cli.main(["transport", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["certified"] is False and summary["error_bound"] is None
 
 
 # -- inf-convolution envelope ---------------------------------------------------------
@@ -601,10 +570,13 @@ def test_value_and_grad_bit_equal_to_separate_calls(name, p, x):
 
 
 def test_from_config_family_and_overrides():
-    p = hf.from_config({"family": "gaussian", "params": {"rho": -0.9},
-                        "curvature_lower": 0.1})
-    assert p.curvature_lower == 0.1
+    # the family supplies the metadata; a config may not override it
+    p = hf.from_config({"family": "gaussian", "params": {"rho": -0.9}})
+    assert p.curvature_lower == 0.9
     assert p.normalized
+    with pytest.raises(ValueError, match=r"unknown potential config keys \['curvature_lower'\]"):
+        hf.from_config({"family": "gaussian", "params": {"rho": -0.9},
+                        "curvature_lower": 0.1})
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -638,21 +610,22 @@ def test_from_config_rejects_unknown_family():
      r"unknown potential config keys \['table'\]"),
     ({"table": {"grid": [0, 1], "values": [0, 0], "kind": "linear"}},
      r"unknown table keys \['kind'\]"),
-    ({"family": "bump", "transforms": [{"op": "mollify", "sigma": 0.5, "n": 8}]},
-     r"unknown mollify transform keys \['n'\]"),
+    ({"family": "bump", "transforms": [{"op": "mollify", "sigma": 0.5}]},
+     "unknown transform 'mollify'"),
     ({"family": "linear_tail", "transforms": [{"op": "lipschitz_regularize",
                                                 "l": 1.0, "r": 6.0, "tol": 1.0}]},
      r"unknown lipschitz_regularize transform keys \['tol'\]"),
     ({"family": "gaussian", "params": {"rho": "1"}}, "'rho' must be a JSON number"),
     ({"table": {"grid": ["0", "1"], "values": [0, 0]}}, "'grid' must be a JSON number"),
-    ({"family": "gaussian", "params": {"rho": 1.0}, "grad_sup_norm": True},
-     "'grad_sup_norm' must be a JSON number"),
-    ({"family": "gaussian", "params": {"rho": 1.0}, "normalize": "false"},
-     "'normalize' must be true or false"),
+    ({"family": "gaussian", "params": {"rho": 1.0}, "grad_sup_norm": 1.0},
+     r"unknown potential config keys \['grad_sup_norm'\]"),
+    ({"family": "gaussian", "params": {"rho": 1.0}, "normalize": False},
+     r"unknown potential config keys \['normalize'\]"),
     *[({"family": "bump", "params": bad}, "params must be a JSON object")
       for bad in ([], 0, "", False, None)],
     *[({"family": "bump", "transforms": bad}, "transforms must be a JSON list")
-      for bad in ({}, {"op": "mollify", "sigma": 0.5}, "mollify", None)],
+      for bad in ({}, {"op": "lipschitz_regularize", "l": 1.0, "r": 6.0},
+                  "lipschitz_regularize", None)],
 ])
 def test_from_config_rejects_unknown_keys_and_non_json_types(cfg, match):
     with pytest.raises(ValueError, match=match):

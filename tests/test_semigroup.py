@@ -35,7 +35,7 @@ def ev_one(gaussian_one, gh_scheme):
 
 @pytest.fixture(scope="module")
 def ev_const(gh_scheme):
-    return hf.SemigroupEvaluator(hf.potentials.constant(), gh_scheme)
+    return hf.SemigroupEvaluator(hf.gaussian(0.0), gh_scheme)
 
 
 # -- basic fixed points ------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_every_node_kept_without_a_finite_oscillation(case, regularized_linear_t
 
 def test_zero_oscillation_keeps_nodes_by_weight_alone():
     scheme = hf.QuadratureScheme(dim=1, node_count=128)
-    ev = hf.SemigroupEvaluator(hf.potentials.constant(), scheme)
+    ev = hf.SemigroupEvaluator(hf.gaussian(0.0), scheme)
     nodes, logw = scheme.nodes_log_weights()
     keep = logw >= logw.max() - np.log(2.0**53 * 128)
     # 64 of 128; a declared oscillation of 5 widens the cut to 68
