@@ -12,6 +12,9 @@ config error.
 Every output file carries the resolved config in its header, floats are
 written with 17 significant digits, and nothing time- or host-dependent
 is emitted, so reruns of the same config + seed are byte-identical.
+The --out directory is made when the first output file is written, after
+the config has been read and checked, so a config error leaves no
+directory behind.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, header: dict, columns: dict[str, np.ndarray]):
     names = list(columns)
     rows = zip(*[np.asarray(columns[n]).tolist() for n in names])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as f:
         for k, v in header.items():
             f.write(f"# {k}={v}\n")
@@ -84,6 +88,7 @@ def _json_ready(obj):
 
 
 def _write_json(path: Path, payload: dict):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         json.dump(_json_ready(payload), f, indent=2, sort_keys=True)
         f.write("\n")
@@ -490,9 +495,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(
                 f"config command {declared!r} does not match {args.command!r}"
             )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.quick)
+        return _COMMANDS[args.command](cfg, Path(args.out), args.quick)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -69,6 +69,12 @@ class Potential:
     semigroup pass reads the oscillation to skip the quadrature nodes that
     cannot reach its sums (see SemigroupEvaluator), so an understated one
     costs accuracy there.
+    locus, when declared, is (center, radius) = (c, r) with center a
+    dim-tuple: e^{-raw_fn} - 1 decays like a Gaussian of width r around
+    c, and raw_fn tends to 0 away from it.  The semigroup then integrates
+    over the target's own locus once the heat kernel is wider than r (see
+    SemigroupEvaluator); only `bump` declares one, and `normalize` keeps
+    it, because the shift leaves raw_fn alone.
     norm_tol and norm_converged record the mass estimate of `normalize`
     (None until it runs, and norm_converged None under Monte Carlo).
     Instances are immutable and all evaluations are pure, so they are safe
@@ -95,6 +101,7 @@ class Potential:
     norm_converged: Optional[bool] = None
     name: str = "potential"
     kinks: tuple[float, ...] = ()
+    locus: Optional[tuple[tuple[float, ...], float]] = None
 
     # -- evaluation ----------------------------------------------------
 
@@ -296,7 +303,11 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
          height: float = 0.5, dim: int = 1) -> Potential:
     """Analytic bump V(x) = height * exp(-|x-center|^2 / (2 radius^2)).
 
-    Entire function, so semigroup quadrature on it is spectrally accurate.
+    Entire function, but the semigroup's Z rule resolves the integrand of
+    width radius / sin(theta) only while sin(theta) is below about the
+    radius: bump(0, .5, .5) keeps an error floor of about 2e-7 at 64 nodes.
+    The declared locus (center, radius) lets the semigroup integrate over
+    y near the center instead once the heat kernel is wider than that.
     Declared bounds: oscillation |height|; curvature height/radius^2 for
     height > 0 (profile second derivative has minimum -1 at the center)
     and 2 e^{-3/2} |height|/radius^2 for height < 0; sup |grad V| =
@@ -343,6 +354,7 @@ def bump(center: float | Sequence[float] = 0.0, radius: float = 1.0,
         oscillation=abs(height),
         grad_sup_norm=_BUMP_MAX_D1 * abs(height) / radius,
         name=f"bump(center={center}, radius={radius}, height={height})",
+        locus=(tuple(float(ci) for ci in c), float(radius)),
     )
 
 

@@ -584,12 +584,15 @@ def test_retired_keys_refused_before_any_output(name, command, tmp_path, capsys)
 
 @pytest.mark.parametrize("name", CONFIG_ERRORS)
 def test_config_error_exit_code(name, tmp_path, capsys):
+    # the --out directory is made only once the config has been read and
+    # checked, so a config error leaves none behind
     cfg = CONFIG_ERRORS[name]
     path = write_cfg(tmp_path / "c.json", cfg)
-    assert cli.main([cfg["command"], "--config", path, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out" / "nested"
+    assert cli.main([cfg["command"], "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
-    assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
+    assert not out.exists() and [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

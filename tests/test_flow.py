@@ -242,10 +242,11 @@ def count_passes(monkeypatch):
 
 def _jacobian_runs():
     # (t_max, n_steps) of every shipped transport config with the Jacobian
-    # on, the acceptance gate's Jacobian run (criterion 11), and long runs
-    # at t_max 12
+    # on, the acceptance gate's Jacobian run (criterion 11), and runs at
+    # t_max 12 from the fewest steps, where the stage at theta = 0 is one
+    # of three or seven, to the step counts the theta grid is run at
     runs = {"criterion_11": (8.0, 100)}
-    runs |= {f"t_max_12_n_{n}": (12.0, n) for n in (1283, 1284, 1500, 3000)}
+    runs |= {f"t_max_12_n_{n}": (12.0, n) for n in (1, 2, 40, 200)}
     for path in sorted(CONFIGS.glob("transport_*.json")):
         cfg = json.loads(path.read_text())
         if cfg.get("with_jacobian", True):
@@ -274,6 +275,37 @@ def test_jacobian_matches_rearrangement_derivative(std_bump):
     z = rearrangement_map(std_bump, ys)
     rho = std_bump.lebesgue_density(z[:, None]) / TargetCdf(std_bump).total_mass
     assert np.max(np.abs(J[:, 0, 0] - normal_pdf(ys) / rho)) <= 1e-6
+
+
+@pytest.mark.parametrize("center, radius, height", [(0.0, 0.5, 0.5), (0.5, 0.25, 1.0)])
+def test_hybrid_transport_beats_the_z_rule(center, radius, height):
+    # the y rule past sin theta = r takes the 1-d map from the Z rule's
+    # quadrature floor (64 nodes: 2.0e-7 and 4.7e-3) to 6.9e-10 and 6.4e-9;
+    # t_max 20 keeps the truncation term below both
+    p = hf.normalize(hf.bump(center, radius, height))
+    ys = np.linspace(-2.5, 2.5, 41)
+    exact = rearrangement_map(p, ys)
+    err = {}
+    for name, q in (("hybrid", p), ("z", dataclasses.replace(p, locus=None))):
+        z, _, failed = make_flow(q, t_max=20.0, n_steps=80, nodes=64).transport_batch(ys[:, None])
+        assert not failed.any()
+        err[name] = np.max(np.abs(z[:, 0] - exact))
+    assert err["hybrid"] <= 1e-8 and err["z"] >= 1e-7
+
+
+def test_2d_bump_transport_at_24_nodes_matches_a_finer_hybrid():
+    # at 24^2 nodes and 40 steps the hybrid run is within 1e-6 (measured
+    # 5.0e-8) of the hybrid at 48^2 nodes and 160 steps, which agrees with
+    # 64^2 nodes at 80 steps to 2.6e-9; the Z rule alone is off by 2.1e-3
+    p = hf.normalize(hf.bump((0.3, -0.2), 0.4, 0.8, dim=2))
+    xs = np.random.default_rng(5).standard_normal((32, 2))
+    ref, _, _ = make_flow(p, t_max=10.0, n_steps=160, nodes=48).transport_batch(xs)
+    err = {}
+    for name, q in (("hybrid", p), ("z", dataclasses.replace(p, locus=None))):
+        z, _, failed = make_flow(q, t_max=10.0, n_steps=40, nodes=24).transport_batch(xs)
+        assert not failed.any()
+        err[name] = np.max(np.linalg.norm(z - ref, axis=1))
+    assert err["hybrid"] <= 1e-6 and err["z"] >= 1e-3
 
 
 @pytest.mark.parametrize("dim, n_steps, nodes, tol_z, tol_j",

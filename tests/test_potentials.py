@@ -630,3 +630,17 @@ def test_from_config_rejects_unknown_family():
 def test_from_config_rejects_unknown_keys_and_non_json_types(cfg, match):
     with pytest.raises(ValueError, match=match):
         hf.from_config(cfg)
+
+
+def test_only_the_bump_declares_a_locus(std_bump):
+    # the semigroup's y rule reads the locus (center, radius) of a bump;
+    # the shift of normalize leaves raw_fn alone and keeps it, and a
+    # transform that builds a new raw_fn declares none
+    assert hf.bump((0.3, -0.2), 0.4, 0.8, dim=2).locus == ((0.3, -0.2), 0.4)
+    assert hf.bump(0.5, 0.25, 1.0).locus == ((0.5,), 0.25)
+    assert std_bump.normalized and std_bump.locus == ((0.0,), 0.5)
+    others = [hf.gaussian(1.0), hf.linear_tail(), hf.vt_counterexample(4.0),
+              hf.sharpness(4.0, 0.5), hf.mollify(std_bump, 0.3),
+              hf.lipschitz_regularize(std_bump, 1.0, 4.0),
+              hf.tabulated(np.linspace(-1.0, 1.0, 5), np.zeros(5))]
+    assert all(p.locus is None for p in others)

@@ -199,7 +199,10 @@ def test_blocked_pass_matches_row_by_row(std_bump):
     # and a half blocks
     step = semigroup.BLOCK_BYTES // (8 * ev._logw.size * 5)
     xs = np.linspace(-4.0, 4.0, 2 * step + step // 2)[:, None]
-    for t in (0.05, 1.3):
+    # both below the y rule's switch (sin theta < 0.5 here), so every pass
+    # calls the potential; test_y_pass_rows_do_not_depend_on_blocks covers
+    # the passes above it
+    for t in (0.05, 0.1):
         seen.clear()
         drift, hess = ev.drift_and_hess_vt(xs, t)
         blocks = [kind for kind, _ in seen if kind == "value_grad"]
@@ -234,7 +237,8 @@ def test_blocked_pass_matches_row_by_row_multidim(monkeypatch, family, dim, node
     r = np.random.default_rng(dim)
     xs = 1.5 * r.standard_normal((23, dim))
     shifted = np.concatenate([r.standard_normal((5, dim)), xs])
-    for t in (0.05, 1.3):
+    # both below the bump's y-rule switch (sin theta < 0.6)
+    for t in (0.05, 0.2):
         seen.clear()
         drift = ev.drift(xs, t)
         blocks = [x.shape[0] for kind, x in seen if kind in ("value", "value_grad")]
@@ -267,7 +271,9 @@ def test_potential_sees_the_node_points(dim, node_count):
     keep = logw >= logw.max() - 0.5 - np.log(2.0**53 * logw.size)
     nodes, logw = nodes[keep], logw[keep]
     xs = 1.5 * np.random.default_rng(dim).standard_normal((40, dim))
-    for t in (0.05, 1.3):
+    # both below the y-rule switch (sin theta < 0.6), where a pass calls
+    # the potential
+    for t in (0.05, 0.2):
         e, s = np.exp(-t), np.sqrt(-np.expm1(-2.0 * t))
         pts = e * xs[:, None, :] + s * nodes[None, :, :]
         seen.clear()
@@ -385,7 +391,9 @@ def test_potential_receives_the_kept_node_axis(dim, node_count, oscillation):
     k = ev._nodes.shape[0]
     assert k == ev._logw.size and (k < node_count ** dim) == (oscillation is not None)
     xs = np.random.default_rng(dim).standard_normal((50, dim))
-    for t in (0.05, 1.3):
+    # both below the y-rule switch (sin theta < 0.6); a y pass calls no
+    # potential, and the tracer still counts rows times this K
+    for t in (0.05, 0.2):
         seen.clear()
         ev.log_pt_f(xs, t)
         ev.drift(xs, t)
@@ -555,3 +563,157 @@ def test_high_dim_needs_monte_carlo():
     mc = hf.QuadratureScheme(dim=4, sample_count=400_000, seed=3)
     q = hf.normalize(p, mc)
     assert q.shift == pytest.approx(-2.0 * np.log(2.0), abs=2e-2)
+
+
+# -- the y rule ----------------------------------------------------------------------
+
+
+def z_only(p):
+    """p without its locus: every pass takes the Z rule."""
+    return dataclasses.replace(p, locus=None)
+
+
+def y_times(r, ratios):
+    """The times t > 0 at which s = sqrt(1 - e^{-2t}) is ratio * r, for the
+    ratios that give s < 1 (all at or above the switch)."""
+    return [float(-0.5 * np.log1p(-(q * r) ** 2)) for q in ratios if q * r < 1.0]
+
+
+# the target, its node count and the node count of the Z-rule reference
+Y_RULE_CASES = {
+    "1d_bump(0,.5,.5)": (lambda: hf.normalize(hf.bump(0.0, 0.5, 0.5)), 64, 4096),
+    "1d_bump(.5,.25,1)": (lambda: hf.normalize(hf.bump(0.5, 0.25, 1.0)), 64, 4096),
+    "2d_bump((.3,-.2),.4,.8)": (
+        lambda: hf.normalize(hf.bump((0.3, -0.2), 0.4, 0.8, dim=2)), 32, 256),
+    "3d_bump((.2,-.1,.3),.5,.6)": (
+        lambda: hf.normalize(hf.bump((0.2, -0.1, 0.3), 0.5, 0.6, dim=3)), 24, 128),
+}
+
+
+@pytest.mark.parametrize("case", sorted(Y_RULE_CASES))
+def test_y_pass_matches_the_fine_z_rule(case):
+    # at and above the switch the y rule agrees with the Z rule at 4096
+    # nodes (1-d), 256^2 (2-d) or 128^3 (3-d), and makes no potential call
+    build, nodes, ref_nodes = Y_RULE_CASES[case]
+    p, seen = recording(build())
+    dim, r = p.dim, p.locus[1]
+    assert semigroup.LOCUS_SWITCH * r < 1.0
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=dim, node_count=nodes))
+    ref = hf.SemigroupEvaluator(z_only(p), hf.QuadratureScheme(dim=dim, node_count=ref_nodes))
+    xs = 1.5 * np.random.default_rng(dim).standard_normal(({1: 64, 2: 16, 3: 8}[dim], dim))
+    ratios = (semigroup.LOCUS_SWITCH * (1.0 + 1e-9), 1.3, 2.0, 3.0)
+    for t in y_times(r, ratios) + [8.0]:
+        seen.clear()
+        drift, hess = ev.drift_and_hess_vt(xs, t)
+        views = [drift, hess, ev.drift(xs, t), ev.log_pt_f(xs, t), ev.grad_pt_f(xs, t),
+                 ev.hess_pt_f(xs, t, route="hermite")]
+        assert seen == []
+        want_drift, want_hess = ref.drift_and_hess_vt(xs, t)
+        wants = [want_drift, want_hess, want_drift, ref.log_pt_f(xs, t), ref.grad_pt_f(xs, t),
+                 ref.hess_pt_f(xs, t, route="hermite")]
+        for got, want in zip(views, wants):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("locus", [((0.0,), 0.0), ((0.0,), -0.5), ((0.0, 0.0), 0.5)])
+def test_malformed_locus_refused(std_bump, locus):
+    with pytest.raises(ValueError, match="locus must be"):
+        hf.SemigroupEvaluator(dataclasses.replace(std_bump, locus=locus),
+                              hf.QuadratureScheme(dim=1, node_count=16))
+
+
+def test_switch_is_chosen_from_t_alone(std_bump):
+    # sin theta just below LOCUS_SWITCH r takes the Z rule, just above it
+    # the y rule; the commute route always takes the Z rule
+    p, seen = recording(std_bump)
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=64))
+    seen.clear()        # the y rule's one call, at its nodes
+    below, above = y_times(p.locus[1], (0.999 * semigroup.LOCUS_SWITCH,
+                                        1.001 * semigroup.LOCUS_SWITCH))
+    xs = np.linspace(-2.0, 2.0, 5)[:, None]
+    ev.drift(xs, below)
+    assert [kind for kind, _ in seen] == ["value_grad"]
+    seen.clear()
+    ev.drift(xs, above)
+    ev.log_pt_f(xs, above)
+    assert seen == []
+    ev.hess_pt_f(xs, above, route="commute")
+    assert [kind for kind, _ in seen] == ["value_grad", "hess"]
+
+
+@pytest.mark.parametrize("dim, node_count", [(1, 64), (2, 10), (3, 6)])
+def test_y_pass_rows_do_not_depend_on_blocks(monkeypatch, dim, node_count):
+    # blocks of one row, of 4 rows (23 rows make blocks of 4, 4, 4, 4, 4
+    # and 3) and of every row give the same bits, row by row, and so do
+    # the 23 rows moved to other block positions by 5 rows put in front
+    k = min(node_count, semigroup.LOCUS_NODES_MAX) ** dim
+    p, seen = recording(hf.bump(0.2, 0.6, 0.5, dim))
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=dim, node_count=node_count))
+    seen.clear()        # the y rule's one call, at its nodes
+    r = np.random.default_rng(dim)
+    xs = 1.5 * r.standard_normal((23, dim))
+    shifted = np.concatenate([r.standard_normal((5, dim)), xs])
+
+    def views(x, t, rows_per_block):
+        monkeypatch.setattr(semigroup, "BLOCK_BYTES", 8 * k * (2 * dim + 3) * rows_per_block)
+        return (ev.drift(x, t), *ev.drift_and_hess_vt(x, t), ev.log_pt_f(x, t),
+                ev.grad_pt_f(x, t), ev.hess_pt_f(x, t, route="hermite"))
+
+    for t in (0.3, 1.3, 8.0):
+        batch = views(xs, t, 4)
+        others = [views(xs, t, 1), views(xs, t, 23), [v[5:] for v in views(shifted, t, 4)]]
+        for other in others:
+            assert all(np.array_equal(a, b) for a, b in zip(batch, other))
+        for i in range(xs.shape[0]):
+            one = slice(i, i + 1)
+            assert all(np.array_equal(a, b[one]) for a, b in zip(views(xs[one], t, 4), batch))
+    assert seen == []
+
+
+@pytest.mark.parametrize("height", [10.0, 40.0])
+def test_tall_bump_y_pass_keeps_its_digits(monkeypatch, height):
+    # f_t = e^{-shift} (1 + sum_j b_j N_j) cancels where f_t is far below
+    # e^{-shift}: on these bumps e^{-V} falls to e^{-height} e^{-shift} at
+    # the centre.  Rounding stays small (a y rule of 256 nodes against the Z
+    # rule at 4096), and the default y rule beats the Z rule at 64 nodes that
+    # it replaces by an order of magnitude or more
+    p = hf.normalize(hf.bump(0.1, 0.3, height))
+    xs = np.linspace(-4.5, 4.5, 91)[:, None]
+    ref = hf.SemigroupEvaluator(z_only(p), hf.QuadratureScheme(dim=1, node_count=4096))
+    z64 = hf.SemigroupEvaluator(z_only(p), hf.QuadratureScheme(dim=1, node_count=64))
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=64))
+    monkeypatch.setattr(semigroup, "LOCUS_NODES_MAX", 256)
+    fine = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=1, node_count=256))
+
+    def err(e, t):
+        d, h = e.drift_and_hess_vt(xs, t)
+        d_ref, h_ref = ref.drift_and_hess_vt(xs, t)
+        return max(np.max(np.abs(d - d_ref)), np.max(np.abs(h - h_ref)))
+
+    for t in y_times(0.3, (1.001 * semigroup.LOCUS_SWITCH, 1.5, 2.0, 3.0)):
+        assert err(fine, t) <= 1e-11
+        assert err(ev, t) <= 0.1 * err(z64, t)
+
+
+DRIFT_RATIO_CASES = {
+    "1d_bump(0,.5,.5)": lambda: hf.normalize(hf.bump(0.0, 0.5, 0.5)),
+    "1d_bump(.5,.25,1)": lambda: hf.normalize(hf.bump(0.5, 0.25, 1.0)),
+    "1d_bump(0,.5,-.5)": lambda: hf.normalize(hf.bump(0.0, 0.5, -0.5)),
+    "2d_bump((.3,-.2),.4,.8)": lambda: hf.normalize(hf.bump((0.3, -0.2), 0.4, 0.8, dim=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_RATIO_CASES))
+def test_y_pass_drift_ratio_within_measured_margin(case):
+    # a y pass does not obey |drift| <= e^{-t} sup|grad V| by construction,
+    # as a Z pass does; over a grid of rows and every angle past the switch
+    # its ratio to that bound stays below 0.75 (measured: at most 0.51)
+    p = DRIFT_RATIO_CASES[case]()
+    ev = hf.SemigroupEvaluator(p, hf.QuadratureScheme(dim=p.dim, node_count=32))
+    axis = np.linspace(-6.0, 6.0, 241 if p.dim == 1 else 41)
+    xs = np.stack([g.ravel() for g in np.meshgrid(*[axis] * p.dim)], axis=-1)
+    th0 = np.arcsin(semigroup.LOCUS_SWITCH * p.locus[1])
+    for theta in np.linspace(th0 * (1.0 + 1e-9), 0.5 * np.pi * (1.0 - 1e-9), 25):
+        t = float(-np.log(np.cos(theta)))
+        norms = np.linalg.norm(ev.drift(xs, t), axis=-1)
+        assert np.max(norms) <= 0.75 * np.exp(-t) * p.grad_sup_norm
