@@ -4,18 +4,19 @@ Everything here deliberately avoids the semigroup/flow code paths it is
 used to check, and imports nothing from the package but `errors` and
 `potentials`: the 1-d monotone rearrangement bisects a CDF that Simpson's
 rule builds from the target density alone, the sharpness family has
-closed forms, the spike-family refutation runs through direct adaptive
-quadrature, and the tail test through vectorized tanh-sinh quadrature.
+closed forms, and the spike-family refutation, the tail test and the
+verify profile integrals run through the module's own vectorized
+tanh-sinh quadrature (`tanhsinh_integrals`).
 
-The scipy routines used (scipy.special for rearrangement_map and the
-counterexample checks, plus scipy.integrate's tanhsinh and quad for the
-certification jobs) are imported inside the function that calls them, so
-importing this module, as `import heatflow` does, loads no scipy module,
-and neither does the KS line or the Lipschitz ratio of a transport.
+Only the test and benchmark oracles `rearrangement_map` and
+`sharpness_profile` call scipy (`scipy.special`, imported inside the
+function that calls it), so importing this module, as `import heatflow`
+does, loads no scipy module, and neither does any command.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,6 +37,13 @@ LIPSCHITZ_BLOCK_PAIRS = 2**16
 TAIL_INCOMPATIBILITY_LEVEL = -0.02
 # tail_test's window ends where the Lebesgue density is below this
 TAIL_DENSITY_FLOOR = 1e-300
+# tanh-sinh: steps t in [-4, 4], halved from 1 at level 0 down to 2^-12
+TANHSINH_T_MAX = 4.0
+TANHSINH_MIN_LEVEL = 3
+TANHSINH_MAX_LEVEL = 12
+TANHSINH_RTOL = float(np.finfo(float).eps) ** 0.75
+# _erfcx switches from math.erfc to its asymptotic series here
+ERFCX_SERIES_FROM = 26.0
 
 
 # -- standard normal helpers --------------------------------------------------
@@ -71,19 +79,72 @@ def _window_end(p: Potential, side: float, ends, floor: float) -> float:
                         "the window would truncate its mass")
 
 
-def tanhsinh_integrals(f, a, b, what: str, **tolerances) -> np.ndarray:
-    """Integrals of the elementwise f over [a, b] (broadcast arrays) from one
-    vectorized tanh-sinh call (Takahasi-Mori); raises HeatflowError naming
-    `what` and the first interval whose integral did not converge."""
-    from scipy.integrate import tanhsinh
-    res = tanhsinh(f, a, b, **tolerances)
-    bad = np.flatnonzero(res.status != 0)
-    if bad.size:
-        a, b, status = (np.broadcast_to(v, res.status.shape).ravel()[bad[0]]
-                        for v in (a, b, res.status))
-        raise HeatflowError(f"tanh-sinh quadrature of {what} on [{a:g}, {b:g}] "
-                            f"did not converge (status {status})")
-    return res.integral
+def _tanhsinh_rule(t, a, b):
+    """Nodes and weights at the steps t for the intervals [a, b]: the
+    tanh-sinh map x = (a + b)/2 + (b - a)/2 tanh(u), u = pi/2 sinh t, or
+    the exp-sinh map x = a + e^u where b = +inf.  A finite-interval node
+    is placed by its distance from the nearer end, so no node falls on an
+    end and poles there are kept."""
+    u = 0.5 * np.pi * np.sinh(t)
+    du = 0.5 * np.pi * np.cosh(t)
+    a, b = a[..., None], b[..., None]
+    infinite = np.isinf(b)
+    length = np.where(infinite, 0.0, b - a)
+    q = np.exp(-2.0 * np.abs(u))
+    gap = length * q / (1.0 + q)
+    x = np.where(t < 0, a + gap, b - gap)
+    w = length * 2.0 * du * q / (1.0 + q) ** 2
+    grow = np.exp(u)
+    return np.where(infinite, a + grow, x), np.where(infinite, du * grow, w)
+
+
+def tanhsinh_integrals(f, a, b, what: str, atol: float = 0.0,
+                       rtol: float = TANHSINH_RTOL) -> np.ndarray:
+    """Integrals of the elementwise f over [a, b] (broadcast arrays, a
+    finite, b finite or +inf) by tanh-sinh quadrature (Takahasi-Mori 1974).
+
+    Level k sums f w over t = j 2^-k in [-TANHSINH_T_MAX, TANHSINH_T_MAX],
+    adding only the new odd nodes.  An interval's estimate is final at the
+    first level >= TANHSINH_MIN_LEVEL where it moved by at most
+    max(atol, rtol |I|) and its outermost terms |f w| are below that too
+    (otherwise the truncated t-range would cut off mass).  An interval
+    that has not settled by TANHSINH_MAX_LEVEL raises HeatflowError naming
+    `what` and the first such interval.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b) | (b == np.inf))):
+        raise ValueError(f"{what}: tanh-sinh needs a finite and b finite or +inf")
+
+    def terms(t, rows):
+        x, w = _tanhsinh_rule(t, a[rows], b[rows])
+        return f(x) * w
+
+    h = 1.0
+    first = terms(np.arange(-TANHSINH_T_MAX, TANHSINH_T_MAX + 0.5), slice(None))
+    sums = first.sum(axis=-1)
+    edge = np.maximum(np.abs(first[:, 0]), np.abs(first[:, -1]))
+    est = sums.copy()
+    err = np.full(a.shape, np.inf)
+    active = np.arange(a.size)
+    for level in range(1, TANHSINH_MAX_LEVEL + 1):
+        h /= 2.0
+        t = (2.0 * np.arange(TANHSINH_T_MAX / h) + 1.0) * h - TANHSINH_T_MAX
+        sums[active] += terms(t, active).sum(axis=-1)
+        new = h * sums[active]
+        err[active] = np.maximum(np.abs(new - est[active]), edge[active])
+        est[active] = new
+        if level >= TANHSINH_MIN_LEVEL:
+            # a NaN estimate or error never settles
+            settled = err[active] <= np.maximum(atol, rtol * np.abs(new))
+            active = active[~settled]
+            if not active.size:
+                return est.reshape(shape)
+    i = active[0]
+    raise HeatflowError(f"tanh-sinh quadrature of {what} on [{a[i]:g}, {b[i]:g}] "
+                        f"did not converge (error estimate {err[i]:.3g} after "
+                        f"{TANHSINH_MAX_LEVEL} levels)")
 
 
 def _simpson(density, a, density_a, b):
@@ -227,12 +288,31 @@ class EmpiricalLipschitz:
     duplicates_skipped: int
 
 
-def _pair_blocks(inputs: np.ndarray):
-    """The pairs (ii, jj) of empirical_lipschitz, at most
-    LIPSCHITZ_BLOCK_PAIRS at a time: whole rows i of the pairs i < j on the
-    exact path, slices of the drawn list (self-pairs dropped) on the random
-    one, then the sorted-adjacent pairs in dim 1."""
+def _adjacent_pairs(x: np.ndarray, y: np.ndarray):
+    """The pairs of the 1-d ratio: the neighbours of the order by input (ties
+    by output), plus, where either side of a step between distinct inputs
+    holds a tie, the lowest output on its left with the highest on its
+    right.  Every chord whose inputs differ then has a path through one
+    such pair per step, so its slope is below their largest."""
+    order = np.lexsort((y, x))
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    last = np.concatenate([first[1:] - 1, [xs.size - 1]])
+    tied = (last > first)[:-1] | (last > first)[1:]
+    return (np.concatenate([order[:-1], order[first[:-1][tied]]]),
+            np.concatenate([order[1:], order[last[1:][tied]]]))
+
+
+def _pair_blocks(inputs: np.ndarray, outputs: np.ndarray):
+    """The pairs (ii, jj) of empirical_lipschitz: in dim 1 (a scalar map)
+    the adjacent pairs of _adjacent_pairs in one block; otherwise at most
+    LIPSCHITZ_BLOCK_PAIRS at a time, whole rows i of the pairs i < j on the
+    exact path and slices of the drawn list (self-pairs dropped) on the
+    random one."""
     n = inputs.shape[0]
+    if inputs.shape[1] == 1 == outputs.shape[1]:
+        yield _adjacent_pairs(inputs[:, 0], outputs[:, 0])
+        return
     if n <= LIPSCHITZ_MAX_EXACT:
         step = max(1, LIPSCHITZ_BLOCK_PAIRS // (n - 1))
         for lo in range(0, n - 1, step):
@@ -247,19 +327,17 @@ def _pair_blocks(inputs: np.ndarray):
         i, j = ii[lo:lo + LIPSCHITZ_BLOCK_PAIRS], jj[lo:lo + LIPSCHITZ_BLOCK_PAIRS]
         keep = i != j
         yield i[keep], j[keep]
-    if inputs.shape[1] == 1:
-        order = np.argsort(inputs[:, 0], kind="stable")
-        yield order[:-1], order[1:]
 
 
 def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLipschitz:
     """max over pairs of |out_i - out_j| / |in_i - in_j|.
 
-    Exact over all pairs up to LIPSCHITZ_MAX_EXACT points; beyond that
-    LIPSCHITZ_PAIR_BUDGET random pairs drawn from LIPSCHITZ_PAIR_SEED are
-    used (plus sorted-adjacent pairs in dim 1, where the largest local
-    slopes live).  Coincident inputs are skipped and counted.  The pairs
-    are evaluated in blocks (see _pair_blocks), so memory stays bounded.
+    In dim 1 (scalar inputs and outputs) the max over every pair comes
+    exactly from the sorted-adjacent pairs of _adjacent_pairs.  Otherwise
+    it is exact over all pairs up to LIPSCHITZ_MAX_EXACT points; beyond
+    that LIPSCHITZ_PAIR_BUDGET random pairs drawn from LIPSCHITZ_PAIR_SEED
+    are used.  Coincident inputs are skipped and counted.  The pairs are
+    evaluated in blocks (see _pair_blocks), so memory stays bounded.
     """
     inputs = np.asarray(inputs, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
@@ -271,7 +349,7 @@ def empirical_lipschitz(inputs: np.ndarray, outputs: np.ndarray) -> EmpiricalLip
         raise ValueError("need at least two pairs")
 
     peaks, good, skipped = [], 0, 0
-    for ii, jj in _pair_blocks(inputs):
+    for ii, jj in _pair_blocks(inputs, outputs):
         din = np.linalg.norm(inputs[ii] - inputs[jj], axis=1)
         dout = np.linalg.norm(outputs[ii] - outputs[jj], axis=1)
         ok = din > 0
@@ -323,10 +401,26 @@ def sharpness_profile(x: float, T: float) -> float:
     return float(tails + middle)
 
 
+def _erfcx(x: float) -> float:
+    """e^{x^2} erfc(x) for x >= 0: math.erfc times e^{x^2} taken as
+    e^{h^2} e^{(x - h)(x + h)}, h the top 26 bits of x (so h^2 is exact),
+    below ERFCX_SERIES_FROM; beyond, the asymptotic series
+    (1 / (x sqrt(pi))) sum_n (-1)^n (2n - 1)!! / (2x^2)^n to 10 terms, whose
+    next term is below 4e-23 of the sum there."""
+    if x < ERFCX_SERIES_FROM:
+        split = 134217729.0 * x     # Veltkamp split: 2^27 + 1
+        h = split - (split - x)
+        return math.erfc(x) * math.exp(h * h) * math.exp((x - h) * (x + h))
+    term, total = 1.0, 1.0
+    for n in range(1, 10):
+        term *= -(2 * n - 1) / (2.0 * x * x)
+        total += term
+    return total / (x * math.sqrt(math.pi))
+
+
 def sharpness_h0(T: float) -> float:
     """h(0) = e^{T^2/2} 2 Phi(-T) + sqrt(2/pi) T, in overflow-proof form."""
-    from scipy.special import erfcx
-    return float(erfcx(T / np.sqrt(2.0)) + np.sqrt(2.0 / np.pi) * T)
+    return _erfcx(T / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * T
 
 
 def sharpness_h2_at_zero(T: float) -> float:
@@ -395,25 +489,21 @@ def vt_counterexample_check(T: float, l: float | None = None) -> VtCheck:
     pieces 3/4 - 289/512.  A map with constant l < the isoperimetric bound
     cannot push gamma onto this target; a given l must be >= 0.
     """
-    from scipy.integrate import quad
     if T <= 0:
         raise ValueError("T must be positive")
     if l is not None and l < 0:
         raise ValueError("l must be >= 0")
+    pot = vt_counterexample(T)
     W = lambda x: np.maximum(0.0, T * T / 4.0 - 64.0 * (x - T) ** 2)
     dens0 = lambda x: np.exp(-W(x)) * normal_pdf(x)   # un-normalized vs Lebesgue
-    lo, hi = 15.0 * T / 16.0, 17.0 * T / 16.0
-    mass, mass_err = 0.0, 0.0
-    for a, b in ((-np.inf, lo), (lo, hi), (hi, np.inf)):
-        val, err = quad(dens0, a, b, limit=300, epsabs=1e-13, epsrel=1e-12)
-        mass += val
-        mass_err += err
-    if mass_err > 1e-9:
-        raise HeatflowError("spike-family mass quadrature too inaccurate")
-    c_T = float(-np.log(mass))
-
-    tail = (quad(dens0, T, hi, limit=300, epsabs=1e-14)[0]
-            + quad(dens0, hi, np.inf, epsabs=1e-14)[0])
+    ends = 2.0 ** np.arange(3, 15)
+    lo, hi = (_window_end(pot, side, ends, TAIL_DENSITY_FLOOR) for side in (-1.0, 1.0))
+    # the mass is all four pieces, split at the kinks and at T; the tail the last two
+    edges = np.array([lo, 15.0 * T / 16.0, T, 17.0 * T / 16.0, hi])
+    pieces = tanhsinh_integrals(dens0, edges[:-1], edges[1:],
+                                "the spike-family density", rtol=1e-13)
+    c_T = float(-np.log(pieces.sum()))
+    tail = pieces[2:].sum()
     mu_tail = float(np.exp(c_T) * tail)
     if mu_tail > 0.5:
         raise ValueError(
@@ -421,7 +511,6 @@ def vt_counterexample_check(T: float, l: float | None = None) -> VtCheck:
             "mu([T, inf)) <= 1/2; increase T"
         )
 
-    pot = vt_counterexample(T)
     density_at_T = float(np.exp(-(pot.raw_fn(np.array([[T]]))[0] - c_T))
                          * normal_pdf(T))
     density_closed = float(np.exp(-0.75 * T * T + c_T) / SQRT_2PI)
@@ -459,9 +548,9 @@ def tail_test(p: Potential, xs: Sequence[float]) -> TailFit:
     The masses come from one vectorized tanh-sinh call over every
     (abscissa, segment) pair, split at p.kinks, on a finite window: each
     end is the first of 8, 16, ..., 2^14 (times -1 on the left) where the
-    Lebesgue density is below TAIL_DENSITY_FLOOR.  tanh-sinh samples an
-    infinite limb near 1e300, where a potential such as linear_tail
-    cancels catastrophically.  No such end, or an integral that does not
+    Lebesgue density is below TAIL_DENSITY_FLOOR.  The exp-sinh end of an
+    infinite limb samples x up to about 4e18, where a potential such as
+    linear_tail cancels catastrophically.  No such end, or an integral that does not
     converge, raises HeatflowError.
     """
     if p.dim != 1:

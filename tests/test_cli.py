@@ -701,7 +701,8 @@ def test_transport_job_page_faults_bounded(tmp_path):
     assert faults < 50_000
 
 
-SCRIPT_ARGS = {"run_gaussian_transport.py": ["1.0", "500"]}
+SCRIPT_ARGS = {"run_gaussian_transport.py": ["1.0", "500"],
+               "cold_start.py": ["--repeats", "1", "--quick"]}
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),

@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtri
 
 import heatflow as hf
 from heatflow.diagnostics import (
+    ERFCX_SERIES_FROM,
     LIPSCHITZ_BLOCK_PAIRS,
     LIPSCHITZ_MAX_EXACT,
     LIPSCHITZ_PAIR_BUDGET,
     LIPSCHITZ_PAIR_SEED,
     SQRT_2PI,
+    TAIL_DENSITY_FLOOR,
     TargetCdf,
+    _window_end,
     empirical_lipschitz,
     ks_distance,
     monotone_rearrangement_1d,
@@ -29,9 +32,73 @@ from heatflow.diagnostics import (
     sharpness_h2_at_zero,
     sharpness_profile,
     tail_test,
+    tanhsinh_integrals,
     vt_counterexample_check,
 )
 from heatflow.errors import HeatflowError
+
+
+# -- tanh-sinh quadrature -------------------------------------------------------
+
+
+def test_tanhsinh_smooth_finite_integral():
+    got = tanhsinh_integrals(np.exp, -1.0, 2.0, "e^x")
+    assert got == pytest.approx(np.exp(2.0) - np.exp(-1.0), rel=1e-15)
+
+
+def test_tanhsinh_endpoint_singularity():
+    # no node lands on the pole at 0
+    got = tanhsinh_integrals(lambda x: x ** -0.5, 0.0, 1.0, "x^-1/2")
+    assert got == pytest.approx(2.0, rel=1e-14)
+
+
+def test_tanhsinh_half_line_at_verify_split_points():
+    # the exp-sinh end: integral_s^inf dt / (e^{2t} - 1) = -log(1 - e^{-2s}) / 2
+    s = np.concatenate([hf.bounds.switch_time(lam) * np.array([0.5, 1.0, 1.5])
+                        for lam in (1.0, 2.0, 4.0)])
+    with np.errstate(over="ignore"):
+        got = tanhsinh_integrals(lambda t: 1.0 / np.expm1(2.0 * t), s, np.inf,
+                                 "the oscillation route", atol=1e-13, rtol=1e-13)
+    want = -0.5 * np.log(-np.expm1(-2.0 * s))
+    assert got.shape == s.shape
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_tanhsinh_broadcast_intervals():
+    a = np.array([0.0, 1.0, 2.0])
+    got = tanhsinh_integrals(np.sin, a, 3.0, "sin")
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, np.cos(a) - np.cos(3.0), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("T", [5.0, 6.0])
+def test_tanhsinh_spike_family_pieces_against_quad(T):
+    # the pieces of the spike-family mass and tail, half-lines cut at the
+    # density floor as vt_counterexample_check cuts them
+    dens = lambda x: (np.exp(-np.maximum(0.0, T * T / 4.0 - 64.0 * (x - T) ** 2))
+                      * normal_pdf(x))
+    lo, hi = 15.0 * T / 16.0, 17.0 * T / 16.0
+    ends = 2.0 ** np.arange(3, 15)
+    left, right = (_window_end(hf.vt_counterexample(T), side, ends, TAIL_DENSITY_FLOOR)
+                   for side in (-1.0, 1.0))
+    pieces = [(-np.inf, lo), (lo, hi), (hi, np.inf), (T, hi), (hi, np.inf)]
+    got = tanhsinh_integrals(dens, [max(a, left) for a, _ in pieces],
+                             [min(b, right) for _, b in pieces], "the spike family",
+                             rtol=1e-13)
+    want = [integrate.quad(dens, a, b, limit=300, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in pieces]
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_tanhsinh_divergent_integral_raises():
+    with pytest.raises(HeatflowError, match=r"of 1/x on \[0, 1\] did not converge"):
+        tanhsinh_integrals(lambda x: 1.0 / x, 0.0, 1.0, "1/x")
+
+
+@pytest.mark.parametrize("a, b", [(-np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)])
+def test_tanhsinh_refuses_ends_it_cannot_map(a, b):
+    with pytest.raises(ValueError, match="a finite and b finite or"):
+        tanhsinh_integrals(normal_pdf, a, b, "phi")
 
 
 # -- normal distribution helpers ------------------------------------------------
@@ -259,14 +326,22 @@ def lipschitz_reference(inputs, outputs):
         ii = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
         jj = rng.integers(0, n, LIPSCHITZ_PAIR_BUDGET)
         ii, jj = ii[ii != jj], jj[ii != jj]
-        if inputs.shape[1] == 1:
-            order = np.argsort(inputs[:, 0], kind="stable")
-            ii = np.concatenate([ii, order[:-1]])
-            jj = np.concatenate([jj, order[1:]])
     din = np.linalg.norm(inputs[ii] - inputs[jj], axis=1)
     dout = np.linalg.norm(outputs[ii] - outputs[jj], axis=1)
     good = din > 0
     return float(np.max(dout[good] / din[good])), int(np.sum(good)), int(np.sum(~good))
+
+
+def ratio_by_value(x, y):
+    """1-d: the largest slope between the output ranges of neighbouring
+    distinct input values, which bounds every chord's."""
+    values, group = np.unique(x, return_inverse=True)
+    lo = np.full(values.size, np.inf)
+    hi = np.full(values.size, -np.inf)
+    np.minimum.at(lo, group, y)
+    np.maximum.at(hi, group, y)
+    spread = np.maximum(hi[1:] - lo[:-1], hi[:-1] - lo[1:])
+    return float(np.max(spread / np.diff(values)))
 
 
 # the largest point count whose pairs all fit in one block
@@ -288,9 +363,26 @@ def test_empirical_lipschitz_matches_all_pairs_reference(dim, n):
             empirical_lipschitz(xs, ys)
         return
     emp = empirical_lipschitz(xs, ys)
-    assert (emp.ratio, emp.pairs_evaluated, emp.duplicates_skipped) == \
-        lipschitz_reference(xs, ys)
     assert emp.duplicates_skipped >= 1
+    if dim == 2:
+        assert (emp.ratio, emp.pairs_evaluated, emp.duplicates_skipped) == \
+            lipschitz_reference(xs, ys)
+        return
+    # dim 1 takes the sorted-adjacent pairs only: at least one per input
+    # step, and the all-pairs ratio bit for bit
+    assert emp.pairs_evaluated + emp.duplicates_skipped >= n - 1
+    assert emp.ratio == ratio_by_value(xs[:, 0], ys[:, 0])
+    if n <= LIPSCHITZ_MAX_EXACT:
+        assert emp.ratio == lipschitz_reference(xs, ys)[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_empirical_lipschitz_1d_ties_match_all_pairs(seed):
+    # inputs rounded to one decimal: most of them tied, with unequal outputs
+    rng = np.random.default_rng(seed)
+    xs = np.round(rng.standard_normal(int(rng.integers(3, 300))), 1)
+    ys = np.tanh(xs) * rng.uniform(0.5, 2.0, xs.size)
+    assert empirical_lipschitz(xs, ys).ratio == lipschitz_reference(xs, ys)[0]
 
 
 @pytest.mark.parametrize("n, limit_mb", [(2000, 16), (100_000, 24)])
@@ -340,6 +432,15 @@ def test_sharpness_h0_value():
     want = 2.0 * np.exp(0.5) * normal_cdf(-1.0) + np.sqrt(2.0 / np.pi)
     assert sharpness_h0(T) == pytest.approx(want, rel=1e-12)
     assert sharpness_profile(0.0, T) == pytest.approx(want, rel=1e-10)
+
+
+def test_sharpness_h0_matches_erfcx():
+    # math.erfc below x = T / sqrt(2) = ERFCX_SERIES_FROM, the series above
+    Ts = np.geomspace(1e-3, 1e3, 601)
+    assert Ts[0] / np.sqrt(2.0) < ERFCX_SERIES_FROM < Ts[-1] / np.sqrt(2.0)
+    for T in Ts:
+        want = erfcx(T / np.sqrt(2.0)) + np.sqrt(2.0 / np.pi) * T
+        assert sharpness_h0(T) == pytest.approx(want, rel=1e-13)
 
 
 def test_sharpness_h2_matches_finite_differences():

@@ -1,10 +1,12 @@
 """Start-up: scipy is imported inside the function that calls it.
 
-`import heatflow` loads numpy and no scipy module, and a command loads only
-the scipy modules its own work calls: a transport loads none.  The module
-sets are read in a fresh interpreter, since this test process has scipy
-loaded already.  No timings are asserted: they vary too much from run to
-run.
+`import heatflow` loads numpy and no scipy module, and so does every
+command: each config in `scripts/configs/` (verify, bound, profile, the vt
+counterexample and every transport) and the sharpness and linear_tail
+counterexamples.  Only the test and benchmark oracles `rearrangement_map`
+and `sharpness_profile` call `scipy.special`.  The module sets are read in
+a fresh interpreter, since this test process has scipy loaded already.  No
+timings are asserted: they vary too much from run to run.
 """
 
 import ast
@@ -18,6 +20,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
+CONFIG_NAMES = sorted(p.name for p in CONFIGS.glob("*.json"))
+TRANSPORT_CONFIGS = [c for c in CONFIG_NAMES if c.startswith("transport_")]
+# the other example configs and the two counterexample kinds without one
+CERTIFICATION_CONFIGS = ["counterexample_vt.json", "verify_default.json",
+                         {"command": "counterexample", "kind": "sharpness"},
+                         {"command": "counterexample", "kind": "linear_tail"}]
 
 
 def _import_time_imports(tree: ast.Module):
@@ -115,8 +123,17 @@ def run_probe(probe: str, *args) -> dict:
 
 
 def loaded_after(tmp_path, *configs) -> dict:
-    result = run_probe(MODULE_PROBE, str(tmp_path / "out"),
-                       *(str(CONFIGS / c) for c in configs))
+    """Runs the module probe on configs, each the name of an example config
+    or a config dict (written to tmp_path)."""
+    paths = []
+    for i, cfg in enumerate(configs):
+        if isinstance(cfg, dict):
+            path = tmp_path / f"config_{i}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            paths.append(str(path))
+        else:
+            paths.append(str(CONFIGS / cfg))
+    result = run_probe(MODULE_PROBE, str(tmp_path / "out"), *paths)
     assert result["codes"] == [0] * len(configs)
     return result
 
@@ -133,13 +150,24 @@ def test_bound_and_profile_load_no_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-@pytest.mark.parametrize("config", ["transport_bump.json", "transport_gaussian.json",
-                                    "transport_gaussian2d.json",
-                                    "transport_regularized_tail.json"])
+@pytest.mark.parametrize("config", TRANSPORT_CONFIGS)
 def test_transport_loads_no_scipy(tmp_path, config):
     # the Gauss-Hermite rule, the KS line's CDF table and the Lipschitz
     # pairs are numpy only
     assert loaded_after(tmp_path, config)["scipy"] == []
+
+
+@pytest.mark.parametrize("config", CERTIFICATION_CONFIGS,
+                         ids=lambda c: c.get("kind") if isinstance(c, dict) else c)
+def test_certification_loads_no_scipy(tmp_path, config):
+    # tanh-sinh quadrature and the scaled erfc are the package's own
+    assert loaded_after(tmp_path, config)["scipy"] == []
+
+
+def test_every_example_config_is_probed():
+    probed = {"bound_example.json", "profile_example.json", *TRANSPORT_CONFIGS,
+              *(c for c in CERTIFICATION_CONFIGS if isinstance(c, str))}
+    assert probed == set(CONFIG_NAMES)
 
 
 # builds, in a fresh interpreter, the potential(s) of the benchmark workload
